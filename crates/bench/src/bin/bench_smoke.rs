@@ -1,29 +1,81 @@
-//! Bench-smoke: wall-clock baselines for the subset-sweep hot path.
+//! Bench-smoke: wall-clock baselines and counted-work gates for the
+//! subset-sweep hot path.
 //!
 //! Times E4 (Lemma 5.2 indistinguishability, exhaustive over subsets),
 //! E6 (sampled randomized expectation), and E13 (appendix claims) with
 //! [`llsc_bench::harness::measure_case`] — the exact workloads of the
 //! corresponding `table_*` binaries — and writes a `BENCH_pr4.json`
 //! artifact recording, per experiment: the id, min/mean wall-clock, and
-//! (for the subset sweeps) simulated executor events per second plus how
-//! many of those events were *replayed* from a Gray-code checkpoint
-//! rather than re-executed.
+//! (for the subset sweeps) simulated executor events per run and per
+//! second. The E4 case also records the heap allocations per
+//! `(S, A)`-run event, counted by this binary's global allocator.
 //!
-//! The replayed counts double as a counted-work regression gate: the
-//! Gray-code incremental sweep must replay a nonzero share of each
-//! subset sweep's events (i.e. execute strictly fewer events than a
-//! from-scratch enumeration would). Event counts are deterministic, so
-//! the gate is meaningful even on noisy shared CI runners where
-//! wall-clock is trend-watching only. The binary exits nonzero if the
-//! gate fails.
+//! Two deterministic gates make the binary exit nonzero:
+//!
+//! * the E4 and E13 `events_per_run` must equal [`E4_EVENTS`] and
+//!   [`E13_EVENTS`] (any drift means the simulated work changed);
+//! * the `(S, A)`-run allocations per event must stay at or below
+//!   [`S_RUN_ALLOCS_PER_EVENT_CEILING`].
+//!
+//! Both are exact counts, so they hold on noisy shared CI runners where
+//! wall-clock is trend-watching only.
 //!
 //! Usage: `bench_smoke [--out PATH] [--samples N] [--label NAME]`
 //! (defaults: `BENCH_pr4.json`, 10 samples, label `pr4`). Single-threaded
-//! sweeps throughout, so the numbers are comparable on the 1-core
-//! reference container.
+//! sweeps throughout, so the numbers are comparable on a 1-core host.
 
 use llsc_bench::harness::measure_case;
-use llsc_shmem::Sweep;
+use llsc_core::{build_all_run, build_s_run_with, AdversaryConfig, ProcSet};
+use llsc_shmem::{Algorithm, Executor, ProcessId, SeededTosses, Sweep, TossAssignment, ZeroTosses};
+use llsc_wakeup::{correct_algorithms, randomized_algorithms};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Simulated events of one E4 run (`n ∈ {4, 6}`, seeds `{0, 1, 42}`).
+const E4_EVENTS: u64 = 20_195;
+/// Simulated events of one E13 run (`n ∈ {4, 6}`, zero tosses).
+const E13_EVENTS: u64 = 6_468;
+/// Ceiling on heap allocations per `(S, A)`-run event over the E4 grid,
+/// set just above the measured 3.392.
+const S_RUN_ALLOCS_PER_EVENT_CEILING: f64 = 3.5;
+
+/// The system allocator plus a counter of allocation calls (`alloc`,
+/// `alloc_zeroed` and `realloc`).
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to `System` with the caller's arguments, so
+// this allocator upholds the `GlobalAlloc` contract exactly as `System`
+// does; the counter touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged to `System`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 struct Case {
     id: &'static str,
@@ -32,9 +84,46 @@ struct Case {
     /// Total simulated executor events of one run, when the experiment
     /// reports them (the subset sweeps do; E6 rows do not).
     events: Option<u64>,
-    /// Of `events`, how many were replayed from a checkpoint instead of
-    /// re-executed (subset sweeps only).
-    replayed: Option<u64>,
+    /// Heap allocations per `(S, A)`-run event (E4 only).
+    allocs_per_event: Option<f64>,
+}
+
+/// Heap allocations per `(S, A)`-run event over the E4 grid, built the way
+/// the subset sweeps build them: one reused executor per `(All, A)`-run,
+/// every finished run recycled into it. Only `build_s_run_with` is
+/// counted.
+fn s_run_allocs_per_event() -> f64 {
+    let cfg = AdversaryConfig::default();
+    let (mut allocs, mut events) = (0u64, 0u64);
+    let algs: Vec<Box<dyn Algorithm>> = correct_algorithms()
+        .into_iter()
+        .chain(randomized_algorithms())
+        .collect();
+    for alg in &algs {
+        let alg = alg.as_ref();
+        for n in [4, 6] {
+            for seed in [0, 1, 42] {
+                let toss: Arc<dyn TossAssignment> = if seed == 0 {
+                    Arc::new(ZeroTosses)
+                } else {
+                    Arc::new(SeededTosses::new(seed))
+                };
+                let all = build_all_run(alg, n, toss.clone(), &cfg).expect("E4 all-run");
+                let mut exec = Executor::new(alg, n, toss, cfg.executor);
+                for mask in 0..1usize << n {
+                    let s: ProcSet = ProcessId::all(n)
+                        .filter(|p| mask & (1 << p.0) != 0)
+                        .collect();
+                    let before = ALLOCS.load(Ordering::Relaxed);
+                    let srun = build_s_run_with(&mut exec, alg, &s, &all, &cfg).expect("E4 s-run");
+                    allocs += ALLOCS.load(Ordering::Relaxed) - before;
+                    events += srun.base.run.event_count();
+                    exec.recycle_run(srun.base.run);
+                }
+            }
+        }
+    }
+    allocs as f64 / events as f64
 }
 
 fn main() {
@@ -68,19 +157,20 @@ fn main() {
 
     let e4 = llsc_bench::e4_indistinguishability(&[4, 6], &[0, 1, 42], &sweep);
     let e4_events: u64 = e4.rows.iter().map(|r| r.events).sum();
-    let e4_replayed: u64 = e4.rows.iter().map(|r| r.replayed).sum();
+    let allocs_per_event = s_run_allocs_per_event();
     let (min, mean) = measure_case(samples, || {
         llsc_bench::e4_indistinguishability(&[4, 6], &[0, 1, 42], &sweep)
     });
     println!(
-        "e4  min {min:>10.3?}  mean {mean:>10.3?}  ({e4_events} events/run, {e4_replayed} replayed)"
+        "e4  min {min:>10.3?}  mean {mean:>10.3?}  ({e4_events} events/run, \
+         {allocs_per_event:.3} s-run allocs/event)"
     );
     cases.push(Case {
         id: "e4",
         min_ms: min.as_secs_f64() * 1e3,
         mean_ms: mean.as_secs_f64() * 1e3,
         events: Some(e4_events),
-        replayed: Some(e4_replayed),
+        allocs_per_event: Some(allocs_per_event),
     });
 
     let (min, mean) = measure_case(samples, || {
@@ -92,22 +182,19 @@ fn main() {
         min_ms: min.as_secs_f64() * 1e3,
         mean_ms: mean.as_secs_f64() * 1e3,
         events: None,
-        replayed: None,
+        allocs_per_event: None,
     });
 
     let e13 = llsc_bench::e13_appendix_claims(&[4, 6], &sweep);
     let e13_events: u64 = e13.rows.iter().map(|r| r.events).sum();
-    let e13_replayed: u64 = e13.rows.iter().map(|r| r.replayed).sum();
     let (min, mean) = measure_case(samples, || llsc_bench::e13_appendix_claims(&[4, 6], &sweep));
-    println!(
-        "e13 min {min:>10.3?}  mean {mean:>10.3?}  ({e13_events} events/run, {e13_replayed} replayed)"
-    );
+    println!("e13 min {min:>10.3?}  mean {mean:>10.3?}  ({e13_events} events/run)");
     cases.push(Case {
         id: "e13",
         min_ms: min.as_secs_f64() * 1e3,
         mean_ms: mean.as_secs_f64() * 1e3,
         events: Some(e13_events),
-        replayed: Some(e13_replayed),
+        allocs_per_event: None,
     });
 
     let mut json = format!("{{\"bench\":\"{label}\",\"samples\":");
@@ -128,8 +215,8 @@ fn main() {
                 eps
             ));
         }
-        if let Some(replayed) = c.replayed {
-            json.push_str(&format!(",\"replayed_events_per_run\":{replayed}"));
+        if let Some(a) = c.allocs_per_event {
+            json.push_str(&format!(",\"s_run_allocs_per_event\":{a:.3}"));
         }
         json.push('}');
     }
@@ -138,20 +225,22 @@ fn main() {
         .expect("cannot write the bench artifact");
     eprintln!("wrote {out}");
 
-    // Counted-work regression gate: every subset sweep must have replayed
-    // a nonzero, strictly partial share of its events from checkpoints.
     let mut gate_ok = true;
-    for c in &cases {
-        if let (Some(events), Some(replayed)) = (c.events, c.replayed) {
-            if replayed == 0 || replayed >= events {
-                eprintln!(
-                    "counted-work gate FAILED for {}: {replayed} of {events} events replayed \
-                     (need 0 < replayed < events)",
-                    c.id
-                );
-                gate_ok = false;
-            }
+    for (id, events, pinned) in [
+        ("e4", e4_events, E4_EVENTS),
+        ("e13", e13_events, E13_EVENTS),
+    ] {
+        if events != pinned {
+            eprintln!("events gate FAILED for {id}: {events} events per run, pinned {pinned}");
+            gate_ok = false;
         }
+    }
+    if allocs_per_event > S_RUN_ALLOCS_PER_EVENT_CEILING {
+        eprintln!(
+            "allocation gate FAILED: {allocs_per_event:.3} allocations per (S, A)-run event, \
+             ceiling {S_RUN_ALLOCS_PER_EVENT_CEILING}"
+        );
+        gate_ok = false;
     }
     if !gate_ok {
         std::process::exit(1);

@@ -1,11 +1,11 @@
 //! Construction of the `(All, A)`-run (Section 5.2) and the common
 //! round-structured-run record shared with the `(S, A)`-run.
 
-use crate::rounds::{execute_round_with, MoveOrder, RoundRecord};
+use crate::rounds::{execute_round_with, MoveOrder, ProcRound, RoundRecord};
 use crate::upsets::UpTracker;
 use llsc_shmem::{
-    Algorithm, Executor, ExecutorConfig, Interaction, ProcMask, ProcessId, RegisterId, Run,
-    TossAssignment, Value,
+    Algorithm, Executor, ExecutorConfig, Interaction, ProcMask, ProcessId, RegisterId,
+    RegisterSnapshot, Run, TossAssignment, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -90,61 +90,50 @@ impl RoundedRun {
     /// `val(R, r, Σ)`: the value of register `reg` at the end of round `r`
     /// (round 0 = initial configuration).
     pub fn value_at(&self, reg: RegisterId, r: usize) -> Value {
-        if r == 0 {
-            return self.initial_value(reg);
+        match self.end_register(reg, r) {
+            Some(s) => s.value.clone(),
+            None => self.initial_memory.get(&reg).cloned().unwrap_or_default(),
         }
-        self.rounds[r - 1]
-            .end_values
-            .get(&reg)
-            .cloned()
-            .unwrap_or_else(|| self.initial_value(reg))
     }
 
-    fn initial_value(&self, reg: RegisterId) -> Value {
-        self.initial_memory.get(&reg).cloned().unwrap_or_default()
+    /// `reg`'s snapshot at the end of round `r`, if it had been touched
+    /// by then (`None` at round 0).
+    fn end_register(&self, reg: RegisterId, r: usize) -> Option<&RegisterSnapshot> {
+        r.checked_sub(1)
+            .and_then(|i| self.rounds[i].end_register(reg))
     }
 
     /// `Pset(R, r, Σ)`: the registered process set at the end of round `r`.
     pub fn pset_at(&self, reg: RegisterId, r: usize) -> ProcMask {
-        if r == 0 {
-            return ProcMask::new();
-        }
-        self.rounds[r - 1]
-            .end_psets
-            .get(&reg)
-            .cloned()
+        self.end_register(reg, r)
+            .map(|s| s.pset.clone())
+            .unwrap_or_default()
+    }
+
+    /// `p`'s figures at the end of round `r` (all zero at round 0).
+    fn proc_at(&self, p: ProcessId, r: usize) -> ProcRound {
+        r.checked_sub(1)
+            .map(|i| self.rounds[i].procs[p.0])
             .unwrap_or_default()
     }
 
     /// `numtosses(p, r, Σ)`: coin tosses performed by `p` by the end of
     /// round `r`.
     pub fn tosses_at(&self, p: ProcessId, r: usize) -> u64 {
-        if r == 0 {
-            0
-        } else {
-            self.rounds[r - 1].end_tosses[p.0]
-        }
+        self.proc_at(p, r).tosses
     }
 
     /// The prefix of `p`'s interaction history up to the end of round `r`.
     /// For deterministic-given-coins programs this prefix determines
     /// `state(p, r, Σ)`.
     pub fn history_at(&self, p: ProcessId, r: usize) -> &[Interaction] {
-        if r == 0 {
-            &[]
-        } else {
-            &self.run.history(p)[..self.rounds[r - 1].end_history_len[p.0]]
-        }
+        &self.run.history(p)[..self.proc_at(p, r).history_len]
     }
 
     /// `t(p, r)`: shared-memory steps performed by `p` by the end of round
     /// `r`.
     pub fn shared_steps_at(&self, p: ProcessId, r: usize) -> u64 {
-        if r == 0 {
-            0
-        } else {
-            self.rounds[r - 1].end_shared_steps[p.0]
-        }
+        self.proc_at(p, r).shared_steps
     }
 
     /// The number of recorded rounds.
@@ -157,7 +146,7 @@ impl RoundedRun {
         match self.rounds.last() {
             // Snapshots are cumulative: the last round lists every touched
             // register.
-            Some(last) => last.end_values.keys().copied().collect(),
+            Some(last) => last.end_registers.iter().map(|s| s.register).collect(),
             None => Vec::new(),
         }
     }
@@ -226,7 +215,7 @@ pub fn build_all_run(
         UpTracker::new_rolling(n)
     };
     let mut rounds = Vec::new();
-    let participants: Vec<ProcessId> = ProcessId::all(n).collect();
+    let participants = ProcMask::full(n);
 
     let mut r = 0;
     while !exec.all_terminated() && r < cfg.max_rounds {
@@ -356,7 +345,7 @@ mod tests {
             assert_eq!(all.base.tosses_at(p, all.base.num_rounds()), 1);
         }
         // Phase-1 tosses are recorded in the round they happen.
-        assert_eq!(all.base.rounds[0].phase1_tosses.values().sum::<u64>(), 4);
+        assert_eq!(all.base.rounds[0].phase1_toss_total(), 4);
     }
 
     #[test]

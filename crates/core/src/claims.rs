@@ -31,7 +31,6 @@
 use crate::all_run::AllRun;
 use crate::s_run::SRun;
 use llsc_shmem::{OpKind, ProcessId, RegisterId};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violation of one of the appendix claims.
@@ -150,32 +149,31 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
     let n = all.n();
     let s = &srun.s;
     let mut report = ClaimsReport::default();
+    // Per process: its (kind, register) this round in the (All, A)-run
+    // and in the (S, A)-run. Dense slots, refilled every round.
+    let mut ops: Vec<[Option<(OpKind, RegisterId)>; 2]> = vec![[None; 2]; n];
+    // Registers SC'd this round in the (All, A)-run, in id order.
+    let mut sc_registers: Vec<RegisterId> = Vec::new();
 
     for r in 1..=all.base.num_rounds() {
         report.rounds_checked += 1;
         let all_rec = &all.base.rounds[r - 1];
         let s_rec = srun.base.rounds.get(r - 1);
 
-        // Per-process op summaries for this round.
-        let all_ops: BTreeMap<ProcessId, (OpKind, RegisterId)> = all_rec
-            .ops
-            .iter()
-            .map(|o| (o.p, (o.kind, o.register)))
-            .collect();
-        let s_ops: BTreeMap<ProcessId, (OpKind, RegisterId)> = s_rec
-            .map(|rec| {
-                rec.ops
-                    .iter()
-                    .map(|o| (o.p, (o.kind, o.register)))
-                    .collect()
-            })
-            .unwrap_or_default();
+        ops.fill([None; 2]);
+        for o in &all_rec.ops {
+            ops[o.p.0][0] = Some((o.kind, o.register));
+        }
+        for o in s_rec.iter().flat_map(|rec| &rec.ops) {
+            ops[o.p.0][1] = Some((o.kind, o.register));
+        }
 
         // ---- A.2: participation and operation agreement ----
         for p in ProcessId::all(n) {
             report.instances += 1;
             let eligible = all.up.proc(p, r - 1).is_subset(s);
-            match (eligible, s_ops.get(&p)) {
+            let [all_op, s_op] = ops[p.0];
+            match (eligible, s_op) {
                 (false, Some(_)) => report.violations.push(ClaimViolation::Participation {
                     p,
                     round: r,
@@ -187,9 +185,9 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
                     // same (kind, register). Early-terminated runs (the
                     // (S, A)-run may stop once all participants finish)
                     // are exempt via s_rec presence.
-                    if let (Some(expect), Some(rec)) = (all_ops.get(&p), s_rec) {
+                    if let (Some(expect), Some(rec)) = (all_op, s_rec) {
                         let s_terminated_before =
-                            srun.base.run.verdict(p).is_some() && !rec.participants.contains(&p);
+                            srun.base.run.verdict(p).is_some() && !rec.participants.contains(p);
                         if !s_terminated_before {
                             match got {
                                 Some(actual) if actual == expect => {}
@@ -261,13 +259,17 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
         }
 
         // ---- A.6 / A.9: SC success agreement for registers inside S ----
-        let sc_registers: std::collections::BTreeSet<RegisterId> = all_rec
-            .ops
-            .iter()
-            .filter(|o| o.kind == OpKind::Sc)
-            .map(|o| o.register)
-            .collect();
-        for reg in sc_registers {
+        sc_registers.clear();
+        sc_registers.extend(
+            all_rec
+                .ops
+                .iter()
+                .filter(|o| o.kind == OpKind::Sc)
+                .map(|o| o.register),
+        );
+        sc_registers.sort_unstable();
+        sc_registers.dedup();
+        for &reg in &sc_registers {
             if !all.up.reg(reg, r).is_subset(s) {
                 continue;
             }

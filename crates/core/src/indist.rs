@@ -17,9 +17,10 @@
 //! test suite also contains *negative* controls showing the checker does
 //! flag genuinely distinguishable configurations when `UP ⊄ S`.
 
-use crate::all_run::AllRun;
+use crate::all_run::{AllRun, RoundedRun};
 use crate::s_run::SRun;
-use llsc_shmem::{ProcessId, RegisterId};
+use crate::upsets::ProcSet;
+use llsc_shmem::{ProcessId, RegisterId, RegisterSnapshot};
 use std::fmt;
 
 /// What the indistinguishability check found to differ.
@@ -136,45 +137,40 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
     // The (S, A)-run may have stopped early; clamp its snapshot index.
     let s_round = |r: usize| r.min(srun.base.num_rounds());
 
-    // Registers worth checking: touched in either run.
-    let mut regs: Vec<RegisterId> = all.base.touched_registers();
-    for r in srun.base.touched_registers() {
-        if !regs.contains(&r) {
-            regs.push(r);
-        }
-    }
-    regs.sort_unstable();
+    let regs = touched_in_either(&all.base, &srun.base);
 
     // Per-process incremental history comparison. The compared prefixes
     // only ever grow with `r`, so instead of re-walking the full prefix
     // each round (quadratic in rounds) we verify just the extension since
-    // the previous round. `verified[p]` is the length compared equal so
-    // far; a content mismatch is permanent (both histories are immutable
-    // and only grow), so round `r`'s full-prefix comparison differs
-    // exactly when a content mismatch was ever seen or the two prefix
-    // lengths differ at `r`.
-    let mut verified = vec![0usize; n];
-    let mut content_mismatch = vec![false; n];
+    // the previous round. `history[p]` holds the length compared equal so
+    // far and whether a content mismatch was seen; a mismatch is
+    // permanent (both histories are immutable and only grow), so round
+    // `r`'s full-prefix comparison differs exactly when a content
+    // mismatch was ever seen or the two prefix lengths differ at `r`.
+    let mut history = vec![(0usize, false); n];
 
     for r in 0..=rounds {
         let sr = s_round(r);
+        // E_r = { p | UP(p, r) ⊆ S }: the processes compared this round,
+        // and the only `Pset` members a register comparison looks at.
+        let eligible: ProcSet = ProcessId::all(n)
+            .filter(|&p| all.up.proc(p, r).is_subset(s))
+            .collect();
         // Processes.
-        for p in ProcessId::all(n) {
-            if !all.up.proc(p, r).is_subset(s) {
-                continue;
-            }
+        for p in &eligible {
             report.process_checks += 1;
             let h_all = all.base.history_at(p, r);
             let h_s = srun.base.history_at(p, sr);
-            if !content_mismatch[p.0] {
+            let (verified, mismatch) = &mut history[p.0];
+            if !*mismatch {
                 let common = h_all.len().min(h_s.len());
-                if h_all[verified[p.0]..common] != h_s[verified[p.0]..common] {
-                    content_mismatch[p.0] = true;
+                if h_all[*verified..common] != h_s[*verified..common] {
+                    *mismatch = true;
                 } else {
-                    verified[p.0] = common;
+                    *verified = common;
                 }
             }
-            if content_mismatch[p.0] || h_all.len() != h_s.len() {
+            if *mismatch || h_all.len() != h_s.len() {
                 report
                     .violations
                     .push(IndistViolation::ProcessHistory { p, round: r });
@@ -201,23 +197,32 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
                     .violations
                     .push(IndistViolation::RegisterValue { r: reg, round: r });
             }
-            let pset_all = all.base.pset_at(reg, r);
-            let pset_s = srun.base.pset_at(reg, sr);
-            for p in ProcessId::all(n) {
-                if !all.up.proc(p, r).is_subset(s) {
-                    continue;
-                }
-                if pset_all.contains(p) != pset_s.contains(p) {
-                    report.violations.push(IndistViolation::RegisterPset {
-                        r: reg,
-                        p,
-                        round: r,
-                    });
-                }
+            let mut differ = all.base.pset_at(reg, r);
+            differ.symmetric_difference_with(&srun.base.pset_at(reg, sr));
+            differ.intersect_with(&eligible);
+            for p in &differ {
+                report.violations.push(IndistViolation::RegisterPset {
+                    r: reg,
+                    p,
+                    round: r,
+                });
             }
         }
     }
     report
+}
+
+/// Registers touched in either run, in id order. Snapshots are
+/// cumulative, so each run's last round lists every register it touched.
+fn touched_in_either(a: &RoundedRun, b: &RoundedRun) -> Vec<RegisterId> {
+    fn last(run: &RoundedRun) -> &[RegisterSnapshot] {
+        run.rounds.last().map_or(&[], |rec| &rec.end_registers)
+    }
+    let mut regs = Vec::with_capacity(last(a).len() + last(b).len());
+    regs.extend(last(a).iter().chain(last(b)).map(|snap| snap.register));
+    regs.sort_unstable();
+    regs.dedup();
+    regs
 }
 
 #[cfg(test)]

@@ -59,7 +59,6 @@
 mod all_run;
 mod claims;
 mod expectation;
-mod gray;
 mod indist;
 mod rounds;
 mod s_run;
@@ -80,10 +79,9 @@ pub use expectation::{
     estimate_expected_complexity, estimate_expected_complexity_sweep, report_from_samples,
     sample_expectation, ExpectationReport, ExpectationSample,
 };
-pub use gray::{gray_flip_bit, gray_mask, GraySubsetBuilder, GrayTrial};
 pub use indist::{check_indistinguishability, IndistReport, IndistViolation};
 pub use rounds::{
-    execute_round, execute_round_with, MoveOrder, OpSummary, RoundGroups, RoundRecord,
+    execute_round, execute_round_with, MoveOrder, OpSummary, ProcRound, RoundGroups, RoundRecord,
 };
 pub use s_run::{build_s_run, build_s_run_with, SRun};
 pub use secretive::{

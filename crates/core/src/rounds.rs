@@ -9,7 +9,8 @@
 
 use crate::secretive::{self, MoveConfig};
 use llsc_shmem::{
-    Executor, OpKind, Operation, ProcMask, ProcessId, RegisterId, Response, RunError, Value,
+    Executor, OpKind, Operation, ProcMask, ProcessId, RegisterId, RegisterSnapshot, Response,
+    RunError,
 };
 use std::collections::BTreeMap;
 
@@ -75,10 +76,8 @@ pub struct RoundRecord {
     /// 1-based round number.
     pub round: usize,
     /// The processes eligible to act this round (before termination
-    /// filtering), in the order they were given.
-    pub participants: Vec<ProcessId>,
-    /// Coin tosses performed in Phase 1, per process.
-    pub phase1_tosses: BTreeMap<ProcessId, u64>,
+    /// filtering).
+    pub participants: ProcMask,
     /// Processes that terminated during Phase 1 of this round.
     pub terminated_in_phase1: Vec<ProcessId>,
     /// The group partition after Phase 1.
@@ -100,20 +99,25 @@ pub struct RoundRecord {
     /// Per register: the processes that moved into it this round, in
     /// execution order.
     pub moves_into: BTreeMap<RegisterId, Vec<ProcessId>>,
-    /// Values of all touched registers at the end of the round (empty when
-    /// snapshot recording is disabled).
-    pub end_values: BTreeMap<RegisterId, Value>,
-    /// `Pset`s of all touched registers at the end of the round, as
-    /// bitmasks (empty when snapshot recording is disabled).
-    pub end_psets: BTreeMap<RegisterId, ProcMask>,
-    /// Per process: cumulative coin-toss count at the end of the round.
-    pub end_tosses: Vec<u64>,
-    /// Per process: cumulative interaction-history length at the end of
-    /// the round.
-    pub end_history_len: Vec<usize>,
-    /// Per process: cumulative shared-memory step count at the end of the
-    /// round.
-    pub end_shared_steps: Vec<u64>,
+    /// Value and `Pset` of every touched register at the end of the
+    /// round, in id order (empty when snapshot recording is disabled).
+    pub end_registers: Vec<RegisterSnapshot>,
+    /// Per process, indexed by id: its Phase-1 tosses and its cumulative
+    /// counts at the end of the round.
+    pub procs: Vec<ProcRound>,
+}
+
+/// One process's figures for one round of a [`RoundRecord`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProcRound {
+    /// Coin tosses performed in Phase 1 of this round.
+    pub phase1_tosses: u64,
+    /// Cumulative coin-toss count at the end of the round.
+    pub tosses: u64,
+    /// Cumulative interaction-history length at the end of the round.
+    pub history_len: usize,
+    /// Cumulative shared-memory step count at the end of the round.
+    pub shared_steps: u64,
 }
 
 impl RoundRecord {
@@ -121,9 +125,21 @@ impl RoundRecord {
     /// operations, no terminations) — the "empty rounds" that follow once
     /// every process has terminated.
     pub fn is_empty_round(&self) -> bool {
-        self.ops.is_empty()
-            && self.terminated_in_phase1.is_empty()
-            && self.phase1_tosses.values().all(|&t| t == 0)
+        self.ops.is_empty() && self.terminated_in_phase1.is_empty() && self.phase1_toss_total() == 0
+    }
+
+    /// Coin tosses performed in Phase 1 of this round, over all processes.
+    pub(crate) fn phase1_toss_total(&self) -> u64 {
+        self.procs.iter().map(|p| p.phase1_tosses).sum()
+    }
+
+    /// `reg`'s end-of-round snapshot, if `reg` had been touched by then
+    /// and snapshots were recorded.
+    pub(crate) fn end_register(&self, reg: RegisterId) -> Option<&RegisterSnapshot> {
+        self.end_registers
+            .binary_search_by_key(&reg, |s| s.register)
+            .ok()
+            .map(|i| &self.end_registers[i])
     }
 }
 
@@ -155,7 +171,7 @@ impl RoundRecord {
 pub fn execute_round(
     exec: &mut Executor,
     round: usize,
-    participants: &[ProcessId],
+    participants: &ProcMask,
     move_order: MoveOrder<'_>,
 ) -> Result<RoundRecord, RunError> {
     execute_round_with(exec, round, participants, move_order, true)
@@ -169,23 +185,19 @@ pub fn execute_round(
 pub fn execute_round_with(
     exec: &mut Executor,
     round: usize,
-    participants: &[ProcessId],
+    participants: &ProcMask,
     move_order: MoveOrder<'_>,
     snapshots: bool,
 ) -> Result<RoundRecord, RunError> {
-    let n = exec.n();
-    let mut phase1_tosses = BTreeMap::new();
+    let mut procs = vec![ProcRound::default(); exec.n()];
     let mut terminated_in_phase1 = Vec::new();
 
     // Phase 1: local steps, in id order.
-    let mut ordered: Vec<ProcessId> = participants.to_vec();
-    ordered.sort_unstable();
-    for &p in &ordered {
+    for p in participants {
         if !exec.is_runnable(p) {
             continue;
         }
-        let tosses = exec.advance_local(p)?;
-        phase1_tosses.insert(p, tosses);
+        procs[p.0].phase1_tosses = exec.advance_local(p)?;
         if exec.is_terminated(p) {
             terminated_in_phase1.push(p);
         }
@@ -194,7 +206,7 @@ pub fn execute_round_with(
     // Partition survivors by the kind of their pending operation.
     let mut groups = RoundGroups::default();
     let mut move_config = MoveConfig::new();
-    for &p in &ordered {
+    for p in participants {
         if !exec.is_runnable(p) {
             continue;
         }
@@ -233,21 +245,21 @@ pub fn execute_round_with(
         }
     };
 
-    let mut ops = Vec::new();
+    let mut ops = Vec::with_capacity(
+        groups.g1_ll_validate.len() + sigma.len() + groups.g3_swap.len() + groups.g4_sc.len(),
+    );
     let mut successful_sc = BTreeMap::new();
     let mut swaps: BTreeMap<RegisterId, Vec<ProcessId>> = BTreeMap::new();
     let mut moves_into: BTreeMap<RegisterId, Vec<ProcessId>> = BTreeMap::new();
 
     // Phases 2-5.
-    let plan: Vec<ProcessId> = groups
+    let plan = groups
         .g1_ll_validate
         .iter()
-        .chain(sigma.iter())
-        .chain(groups.g3_swap.iter())
-        .chain(groups.g4_sc.iter())
-        .copied()
-        .collect();
-    for p in plan {
+        .chain(&sigma)
+        .chain(&groups.g3_swap)
+        .chain(&groups.g4_sc);
+    for &p in plan {
         let (op, resp) = exec.perform_shared(p)?;
         let mut sc_ok = None;
         match (&op, &resp) {
@@ -271,26 +283,22 @@ pub fn execute_round_with(
     }
 
     // End-of-round snapshots.
-    let (end_values, end_psets) = if snapshots {
-        (
-            exec.memory().snapshot_values(),
-            exec.memory().snapshot_psets(),
-        )
+    let end_registers = if snapshots {
+        exec.memory().snapshot()
     } else {
-        (BTreeMap::new(), BTreeMap::new())
+        Vec::new()
     };
-    let end_tosses = ProcessId::all(n).map(|p| exec.run().tosses(p)).collect();
-    let end_history_len = ProcessId::all(n)
-        .map(|p| exec.run().history(p).len())
-        .collect();
-    let end_shared_steps = ProcessId::all(n)
-        .map(|p| exec.run().shared_steps(p))
-        .collect();
+    let run = exec.run();
+    for (i, proc) in procs.iter_mut().enumerate() {
+        let p = ProcessId(i);
+        proc.tosses = run.tosses(p);
+        proc.history_len = run.history(p).len();
+        proc.shared_steps = run.shared_steps(p);
+    }
 
     Ok(RoundRecord {
         round,
-        participants: ordered,
-        phase1_tosses,
+        participants: participants.clone(),
         terminated_in_phase1,
         groups,
         move_config,
@@ -299,11 +307,8 @@ pub fn execute_round_with(
         successful_sc,
         swaps,
         moves_into,
-        end_values,
-        end_psets,
-        end_tosses,
-        end_history_len,
-        end_shared_steps,
+        end_registers,
+        procs,
     })
 }
 
@@ -318,8 +323,8 @@ mod tests {
         Executor::new(alg, n, Arc::new(ZeroTosses), ExecutorConfig::default())
     }
 
-    fn all_pids(n: usize) -> Vec<ProcessId> {
-        ProcessId::all(n).collect()
+    fn all_pids(n: usize) -> ProcMask {
+        ProcMask::full(n)
     }
 
     /// Four processes, one of each op kind, all targeting distinct
@@ -501,13 +506,16 @@ mod tests {
         let mut e = exec_for(&alg, 4);
         let rec = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive).unwrap();
         // p2 swapped 1 into R3.
-        assert_eq!(rec.end_values.get(&RegisterId(3)), Some(&Value::from(1i64)));
+        assert_eq!(
+            rec.end_register(RegisterId(3)).map(|s| &s.value),
+            Some(&Value::from(1i64))
+        );
         // p0 holds a link on R0 from its LL.
         assert_eq!(
-            rec.end_psets.get(&RegisterId(0)),
+            rec.end_register(RegisterId(0)).map(|s| &s.pset),
             Some(&ProcMask::from([ProcessId(0)]))
         );
-        assert_eq!(rec.end_shared_steps, vec![1, 1, 1, 1]);
+        assert!(rec.procs.iter().all(|p| p.shared_steps == 1));
     }
 
     #[test]
@@ -517,7 +525,7 @@ mod tests {
         let rec = execute_round(
             &mut e,
             1,
-            &[ProcessId(0), ProcessId(2)],
+            &ProcMask::from([ProcessId(0), ProcessId(2)]),
             MoveOrder::Secretive,
         )
         .unwrap();

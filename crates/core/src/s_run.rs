@@ -24,10 +24,9 @@ use std::sync::Arc;
 pub struct SRun {
     /// The rounds, events, and snapshots.
     pub base: RoundedRun,
-    /// The set `S` this run was built for.
+    /// The set `S` this run was built for. `S_r` for each executed round
+    /// `r` is `base.rounds[r - 1].participants`.
     pub s: ProcSet,
-    /// `S_r` for each executed round `r` (index 0 holds `S_1`).
-    pub participants_per_round: Vec<Vec<ProcessId>>,
 }
 
 /// Builds the `(S, A)`-run corresponding to `all` for the process set `s`.
@@ -70,8 +69,9 @@ pub fn build_s_run(
 }
 
 /// The scratch-reusing core of [`build_s_run`]: replays the construction
-/// on `exec`, which is [`Executor::reset`] first and left reusable (with
-/// an empty run, via [`Executor::take_run`]) afterwards.
+/// on `exec`, which is reset first ([`Executor::reset_for`] the members of
+/// `s`) and left reusable (with an empty run, via [`Executor::take_run`])
+/// afterwards.
 ///
 /// This is the per-trial entry point of the exhaustive subset sweeps
 /// ([`crate::indist_all_subsets`]): one executor per *worker* is reset
@@ -94,37 +94,35 @@ pub fn build_s_run_with(
         all.up.has_full_history(),
         "(S, A)-run construction needs an (All, A)-run built with track_up_history = true"
     );
-    exec.reset(alg);
+    // Only members of S ever act: p ∈ S_r means UP(p, r-1) ⊆ S, and p is
+    // in its own UP set.
+    exec.reset_for(alg, s);
     let mut rounds = Vec::new();
-    let mut participants_per_round = Vec::new();
 
     for r in 1..=all.base.num_rounds() {
         // S_r = { p | UP(p, r-1) ⊆ S }, computed from the (All, A)-run's
         // UP history. UP sets only grow, so S_r shrinks over rounds.
-        let s_r: Vec<ProcessId> = ProcessId::all(n)
+        let s_r: ProcSet = ProcessId::all(n)
             .filter(|&p| all.up.proc(p, r - 1).is_subset(s))
             .collect();
         // Early exit: every eligible process has terminated, and
         // eligibility only shrinks, so all remaining rounds are empty.
-        if s_r.iter().all(|&p| exec.is_terminated(p)) {
+        if s_r.iter().all(|p| exec.is_terminated(p)) {
             break;
         }
         let sigma_r = &all.base.rounds[r - 1].sigma;
-        let rec = execute_round_with(
+        rounds.push(execute_round_with(
             exec,
             r,
             &s_r,
             MoveOrder::Given(sigma_r),
             cfg.record_snapshots,
-        )?;
-        participants_per_round.push(s_r);
-        rounds.push(rec);
+        )?);
     }
 
-    let completed = participants_per_round
+    let completed = rounds
         .last()
-        .map(|ps| ps.iter().all(|&p| exec.is_terminated(p)))
-        .unwrap_or(true);
+        .is_none_or(|rec| rec.participants.iter().all(|p| exec.is_terminated(p)));
     let outcome = exec.run_outcome();
     Ok(SRun {
         base: RoundedRun {
@@ -136,7 +134,6 @@ pub fn build_s_run_with(
             outcome,
         },
         s: s.clone(),
-        participants_per_round,
     })
 }
 
@@ -169,10 +166,7 @@ mod tests {
         let all = build_all_run(&alg, 5, Arc::new(ZeroTosses), &cfg).unwrap();
         let s = pset([1, 3]);
         let srun = build_s_run(&alg, 5, Arc::new(ZeroTosses), &s, &all, &cfg).unwrap();
-        assert_eq!(
-            srun.participants_per_round[0],
-            vec![ProcessId(1), ProcessId(3)]
-        );
+        assert_eq!(srun.base.rounds[0].participants, pset([1, 3]));
         for p in [ProcessId(0), ProcessId(2), ProcessId(4)] {
             assert_eq!(srun.base.run.shared_steps(p), 0, "{p} must not step");
         }
@@ -190,16 +184,10 @@ mod tests {
         let s = pset([1, 2, 3]);
         let srun = build_s_run(&alg, 4, Arc::new(ZeroTosses), &s, &all, &cfg).unwrap();
         // Round 1: UP(p,0) = {p}: p1..p3 participate.
-        assert_eq!(
-            srun.participants_per_round[0],
-            vec![ProcessId(1), ProcessId(2), ProcessId(3)]
-        );
+        assert_eq!(srun.base.rounds[0].participants, pset([1, 2, 3]));
         // Round 2: UP(p,1) = {p} still (LL of a fresh register reveals
         // nothing): same participants.
-        assert_eq!(
-            srun.participants_per_round[1],
-            vec![ProcessId(1), ProcessId(2), ProcessId(3)]
-        );
+        assert_eq!(srun.base.rounds[1].participants, pset([1, 2, 3]));
     }
 
     #[test]
@@ -285,10 +273,14 @@ mod tests {
                 reused.base.run.events(),
                 "mask={mask}"
             );
-            assert_eq!(
-                fresh.participants_per_round, reused.participants_per_round,
-                "mask={mask}"
-            );
+            let participants = |srun: &SRun| {
+                srun.base
+                    .rounds
+                    .iter()
+                    .map(|rec| rec.participants.clone())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(participants(&fresh), participants(&reused), "mask={mask}");
             assert_eq!(fresh.base.completed, reused.base.completed, "mask={mask}");
             assert!(
                 Arc::ptr_eq(&reused.base.initial_memory, &all.base.initial_memory),

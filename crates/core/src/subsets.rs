@@ -4,26 +4,21 @@
 //! This is the heaviest verification loop in the repository — `2^n`
 //! `(S, A)`-runs per `(All, A)`-run — and it is embarrassingly parallel:
 //! each subset's run is built independently against the shared
-//! `(All, A)`-run. [`indist_all_subsets`] therefore fans the trials out
-//! over a [`Sweep`], merging per-subset tallies in mask order so the
-//! report is identical at any thread count.
+//! `(All, A)`-run. [`indist_all_subsets`] therefore fans the masks out
+//! over a [`Sweep`], one mask per claimed trial, and merges per-subset
+//! tallies in mask order so the report is identical at any thread count.
 //!
-//! Internally the masks are visited in **Gray-code order**
-//! ([`crate::gray_mask`]): each worker walks a contiguous block of Gray
-//! positions, letting the [`GraySubsetBuilder`] resume successive
-//! `(S, A)`-runs from executor checkpoints instead of rebuilding them
-//! from scratch (see the [`GraySubsetBuilder`] docs). The enumeration
-//! order is an implementation detail: records are merged back **in mask
-//! order**, so every report and artifact is byte-identical to the naive
-//! per-mask sweep at any thread count and chunking.
+//! Each sweep worker keeps one [`Executor`] as its scratch: it is reset
+//! for every mask, and the finished `(S, A)`-run goes back to it
+//! ([`Executor::recycle_run`]), so histories and the event vector keep
+//! their capacity from one mask to the next.
 
-use crate::all_run::{build_all_run, AdversaryConfig};
+use crate::all_run::{build_all_run, AdversaryConfig, AllRun};
 use crate::claims::check_appendix_claims;
-use crate::gray::GraySubsetBuilder;
 use crate::indist::check_indistinguishability;
-#[cfg(test)]
-use llsc_shmem::ProcessId;
-use llsc_shmem::{Algorithm, Executor, RunError, Sweep, TossAssignment};
+use crate::s_run::build_s_run_with;
+use crate::upsets::ProcSet;
+use llsc_shmem::{Algorithm, Executor, ProcessId, RunError, Sweep, TossAssignment};
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,11 +36,8 @@ pub struct SubsetSweepReport {
     /// `(S, A)`-run of the sweep — the denominator of the bench-smoke
     /// events/sec figure.
     pub events: u64,
-    /// Of [`SubsetSweepReport::events`], how many were restored from a
-    /// Gray-code checkpoint instead of being re-executed (see
-    /// [`GraySubsetBuilder`]) — the counted-work saving of the
-    /// incremental enumeration. 0 under configurations where checkpoints
-    /// are disabled.
+    /// Always 0: every `(S, A)`-run is executed in full. The field stays
+    /// for code that still reads it.
     pub replayed_events: u64,
     /// Every violation found, rendered with the subset that exposed it.
     /// Sound machinery leaves this empty.
@@ -82,13 +74,8 @@ pub struct SubsetTrialRecord {
     pub comparisons: usize,
     /// Appendix-claim instances evaluated (0 unless claims were checked).
     pub claim_instances: usize,
-    /// Simulated events of this subset's `(S, A)`-run (checkpoint-restored
-    /// prefix included, so the figure is independent of how the trial was
-    /// built).
+    /// Simulated events of this subset's `(S, A)`-run.
     pub events: u64,
-    /// Of [`SubsetTrialRecord::events`], how many were restored from a
-    /// Gray-code checkpoint instead of being re-executed.
-    pub replayed_events: u64,
     /// Violations exposed by this subset, rendered with the subset.
     pub violations: Vec<String>,
 }
@@ -104,15 +91,9 @@ pub struct SubsetChunk {
 }
 
 /// Checks Lemma 5.2 — and, when `check_claims` is set, claims A.2 – A.9 —
-/// for the Gray positions `trials.start .. trials.end` of an `n`-process
-/// system, fanning them out over `sweep`.
-///
-/// Position `w` tests the subset [`crate::gray_mask`]`(n, w)`; the
-/// position space is `0..2^n`, visited so that consecutive trials differ
-/// in one process and can share executor checkpoints. Records are
-/// returned **sorted by mask**, so this is observably a per-mask sweep:
-/// any partition of `0..2^n` into position ranges covers every mask
-/// exactly once.
+/// for the subset masks `trials.start .. trials.end` of an `n`-process
+/// system, fanning them out over `sweep`. Bit `i` of a mask puts `p_i`
+/// in `S`. Records come back in mask order.
 ///
 /// This is the chunkable core of [`indist_all_subsets`]: the `(All, A)`-run
 /// is rebuilt deterministically per call (it depends only on
@@ -138,67 +119,57 @@ pub fn indist_subset_range(
     if n > 16 || trials.end > 1usize << n || trials.start > trials.end {
         return Err(RunError::UnsupportedSweep { n, end: trials.end });
     }
-    let all = Arc::new(build_all_run(alg, n, toss.clone(), cfg)?);
-
-    // One contiguous Gray segment per worker: longer segments mean more
-    // checkpoint reuse, and a block boundary merely costs one
-    // from-scratch rebuild.
-    let block = trials.len().div_ceil(sweep.threads.max(1));
-    let per_trial = sweep.run_indexed_range_with_scratch_blocked(
-        trials.start,
-        trials.len(),
-        block,
-        || {
-            (
-                Executor::new(alg, n, toss.clone(), cfg.executor),
-                GraySubsetBuilder::new(),
-            )
-        },
-        |(exec, builder), trial| {
-            let mask = crate::gray::gray_mask(n, trial.index);
-            let result = builder
-                .build_trial(exec, alg, &all, cfg, trial.index)
-                .map(|gray| {
-                    let srun = &gray.srun;
-                    let s = &srun.s;
-                    let lemma = check_indistinguishability(&all, srun);
-                    let mut record = SubsetTrialRecord {
-                        mask,
-                        comparisons: lemma.process_checks + lemma.register_checks,
-                        claim_instances: 0,
-                        events: srun.base.run.event_count(),
-                        replayed_events: gray.replayed_events,
-                        violations: lemma
-                            .violations
-                            .iter()
-                            .map(|v| format!("S={s:?}: {v}"))
-                            .collect(),
-                    };
-                    if check_claims {
-                        let claims = check_appendix_claims(&all, srun);
-                        record.claim_instances = claims.instances;
-                        record
-                            .violations
-                            .extend(claims.violations.iter().map(|v| format!("S={s:?}: {v}")));
-                    }
-                    record
-                });
-            (mask, result)
-        },
-    );
-
-    // Merge in mask order — the public contract — and surface the
-    // lowest-mask error, exactly as a naive per-mask sweep would.
-    let mut per_trial = per_trial;
-    per_trial.sort_by_key(|(mask, _)| *mask);
-    let records = per_trial
+    let all = build_all_run(alg, n, toss.clone(), cfg)?;
+    let records = sweep
+        .run_indexed_range_with_scratch(
+            trials.start,
+            trials.len(),
+            || Executor::new(alg, n, toss.clone(), cfg.executor),
+            |exec, trial| subset_trial(exec, alg, &all, cfg, check_claims, trial.index),
+        )
         .into_iter()
-        .map(|(_, result)| result)
         .collect::<Result<Vec<SubsetTrialRecord>, RunError>>()?;
     Ok(SubsetChunk {
         all_events: all.base.run.event_count(),
         records,
     })
+}
+
+/// One mask of a subset sweep: builds the `(S, A)`-run on `exec`, checks
+/// it, and hands the run back to `exec` for the next mask.
+fn subset_trial(
+    exec: &mut Executor,
+    alg: &dyn Algorithm,
+    all: &AllRun,
+    cfg: &AdversaryConfig,
+    check_claims: bool,
+    mask: usize,
+) -> Result<SubsetTrialRecord, RunError> {
+    let s: ProcSet = ProcessId::all(all.n())
+        .filter(|p| mask & (1 << p.0) != 0)
+        .collect();
+    let srun = build_s_run_with(exec, alg, &s, all, cfg)?;
+    let lemma = check_indistinguishability(all, &srun);
+    let mut record = SubsetTrialRecord {
+        mask,
+        comparisons: lemma.process_checks + lemma.register_checks,
+        claim_instances: 0,
+        events: srun.base.run.event_count(),
+        violations: lemma
+            .violations
+            .iter()
+            .map(|v| format!("S={s:?}: {v}"))
+            .collect(),
+    };
+    if check_claims {
+        let claims = check_appendix_claims(all, &srun);
+        record.claim_instances = claims.instances;
+        record
+            .violations
+            .extend(claims.violations.iter().map(|v| format!("S={s:?}: {v}")));
+    }
+    exec.recycle_run(srun.base.run);
+    Ok(record)
 }
 
 /// Assembles a [`SubsetSweepReport`] from per-mask records — a pure fold,
@@ -217,7 +188,6 @@ pub fn report_from_subset_records(
         report.comparisons += record.comparisons;
         report.claim_instances += record.claim_instances;
         report.events += record.events;
-        report.replayed_events += record.replayed_events;
         report.violations.extend(record.violations.iter().cloned());
     }
     report
@@ -227,16 +197,11 @@ pub fn report_from_subset_records(
 /// on every subset of an `n`-process system, fanning the `2^n` masks out
 /// over `sweep`.
 ///
-/// The `(All, A)`-run is built **once** per sweep and shared immutably
-/// (behind an [`Arc`]) by all worker threads; each trial builds one
-/// `(S, A)`-run against it and compares. Each *worker* walks a
-/// contiguous Gray-code segment of the mask space with one reusable
-/// executor and one [`GraySubsetBuilder`] as its sweep scratch, resuming
-/// successive `(S, A)`-runs from checkpoints instead of rebuilding them
-/// ([`SubsetSweepReport::replayed_events`] counts the saving), and every
-/// `(S, A)`-run shares the `(All, A)`-run's initial-memory map. Tallies
-/// are merged in mask order, so the report does not depend on
-/// `sweep.threads`.
+/// The `(All, A)`-run is built **once** per sweep and shared immutably by
+/// all worker threads; each trial builds one `(S, A)`-run against it on
+/// its worker's reusable executor and compares, and every `(S, A)`-run
+/// shares the `(All, A)`-run's initial-memory map. Tallies are merged in
+/// mask order, so the report does not depend on `sweep.threads`.
 ///
 /// # Errors
 ///
@@ -258,8 +223,9 @@ pub fn indist_all_subsets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llsc_shmem::dsl::{done, ll, sc};
-    use llsc_shmem::{FnAlgorithm, RegisterId, Value, ZeroTosses};
+    use crate::s_run::build_s_run;
+    use llsc_shmem::dsl::{done, ll, mv, sc, swap, toss};
+    use llsc_shmem::{FnAlgorithm, Program, RegisterId, SeededTosses, Value, ZeroTosses};
 
     fn llsc_contenders() -> impl Algorithm {
         FnAlgorithm::new("llsc", |pid: ProcessId, _n| {
@@ -368,5 +334,64 @@ mod tests {
         assert!(report.ok());
         assert_eq!(report.claim_instances, 0);
         assert!(report.to_string().contains("16 subsets"));
+    }
+
+    /// Every round-1 shape (LL/SC contention, movers, swappers, instant
+    /// terminators) plus coin tosses that pick the register.
+    fn mixed_tossing() -> impl Algorithm {
+        FnAlgorithm::new("mixed-toss", |pid: ProcessId, _n| {
+            let prog: Box<dyn Program> = match pid.0 % 4 {
+                0 => toss(move |c| {
+                    ll(RegisterId(c % 2), move |_| {
+                        sc(RegisterId(c % 2), Value::from(pid.0 as i64), |ok, _| {
+                            done(Value::from(ok))
+                        })
+                    })
+                })
+                .into_program(),
+                1 => mv(RegisterId(0), RegisterId(2), || done(Value::from(0i64))).into_program(),
+                2 => swap(RegisterId(1), Value::from(7i64), |_| {
+                    done(Value::from(0i64))
+                })
+                .into_program(),
+                _ => done(Value::from(0i64)).into_program(),
+            };
+            prog
+        })
+    }
+
+    #[test]
+    fn records_match_a_fresh_construction_for_every_mask() {
+        let alg = mixed_tossing();
+        let cfg = AdversaryConfig::default();
+        let n = 5;
+        let assignments: [Arc<dyn TossAssignment>; 2] =
+            [Arc::new(ZeroTosses), Arc::new(SeededTosses::new(9))];
+        for toss in assignments {
+            let all = build_all_run(&alg, n, toss.clone(), &cfg).unwrap();
+            for threads in [1, 3] {
+                let sweep = Sweep::with_threads(threads);
+                let chunk =
+                    indist_subset_range(&alg, n, toss.clone(), &cfg, true, &sweep, 0..1 << n)
+                        .unwrap();
+                for (mask, record) in chunk.records.iter().enumerate() {
+                    let s: ProcSet = ProcessId::all(n)
+                        .filter(|p| mask & (1 << p.0) != 0)
+                        .collect();
+                    let fresh = build_s_run(&alg, n, toss.clone(), &s, &all, &cfg).unwrap();
+                    let lemma = check_indistinguishability(&all, &fresh);
+                    let claims = check_appendix_claims(&all, &fresh);
+                    assert_eq!(record.mask, mask);
+                    assert_eq!(record.events, fresh.base.run.event_count(), "mask={mask}");
+                    assert_eq!(
+                        record.comparisons,
+                        lemma.process_checks + lemma.register_checks,
+                        "mask={mask}"
+                    );
+                    assert_eq!(record.claim_instances, claims.instances, "mask={mask}");
+                    assert!(record.violations.is_empty(), "{:?}", record.violations);
+                }
+            }
+        }
     }
 }

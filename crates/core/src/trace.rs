@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 pub fn trace_round(rec: &RoundRecord) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "round {}:", rec.round);
-    let tosses: u64 = rec.phase1_tosses.values().sum();
+    let tosses = rec.phase1_toss_total();
     if tosses > 0 {
         let _ = writeln!(out, "  phase 1: {tosses} coin toss(es)");
     }

@@ -1,8 +1,8 @@
 //! The deterministic discrete-event engine.
 
 use crate::{
-    Action, Algorithm, CcTracker, FaultInjector, FaultPlan, FaultStats, Feedback, Interaction,
-    Operation, ProcessId, Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler,
+    Action, Algorithm, CcTracker, FaultInjector, FaultPlan, FaultStats, Feedback, Operation,
+    ProcMask, ProcessId, Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler,
     SharedMemory, TossAssignment, Value,
 };
 use std::fmt;
@@ -58,38 +58,6 @@ impl ExecutorConfig {
     }
 }
 
-/// A restorable mid-run checkpoint of an [`Executor`]'s shared state:
-/// memory contents, the recorded [`Run`] prefix, the cache-coherence RMR
-/// tracker, and the event counter.
-///
-/// Program continuations cannot be cloned (they are one-shot closures), so
-/// a snapshot does **not** hold per-process program state. Instead,
-/// [`Executor::restore_from`] re-spawns every program and replays each
-/// restored process's recorded interaction history through it — pure local
-/// computation that skips memory application, event recording, and RMR
-/// charging. This makes snapshots the reuse primitive of incremental
-/// subset sweeps: a shared run prefix is cloned back instead of
-/// re-simulated.
-///
-/// Snapshots require detail recording ([`ExecutorConfig::record_details`])
-/// — the replay reads histories — and are only supported on fault-free
-/// executors (no armed injector, no sticky fault).
-#[derive(Clone, Debug)]
-pub struct ExecSnapshot {
-    memory: SharedMemory,
-    run: Run,
-    rmr_cc: CcTracker,
-    recorded_events: u64,
-}
-
-impl ExecSnapshot {
-    /// Events contained in the captured run prefix — the events a restore
-    /// brings back without re-simulating them.
-    pub fn event_count(&self) -> u64 {
-        self.run.event_count()
-    }
-}
-
 /// The outcome of advancing one process by one step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -102,7 +70,8 @@ pub enum StepOutcome {
 }
 
 struct ProcState {
-    program: Box<dyn Program>,
+    /// `None` only for a process left out by [`Executor::reset_for`].
+    program: Option<Box<dyn Program>>,
     /// The process's pending step. `None` only before first activation or
     /// after termination; [`Action::Return`] never sits pending because
     /// termination is resolved eagerly.
@@ -165,6 +134,9 @@ pub struct Executor {
     /// Cache-validity state behind the cache-coherent RMR charge; the DSM
     /// charge is stateless (see [`CcTracker`] / [`crate::dsm_cost`]).
     rmr_cc: CcTracker,
+    /// An emptied run kept for the next [`Executor::take_run`] (see
+    /// [`Executor::recycle_run`]).
+    spare_run: Option<Run>,
 }
 
 impl Executor {
@@ -182,7 +154,7 @@ impl Executor {
         let memory = SharedMemory::with_initial(alg.initial_memory(n));
         let procs = ProcessId::all(n)
             .map(|pid| ProcState {
-                program: alg.spawn(pid, n),
+                program: Some(alg.spawn(pid, n)),
                 pending: None,
                 activated: false,
             })
@@ -191,11 +163,7 @@ impl Executor {
             n,
             memory,
             procs,
-            run: if config.record_details {
-                Run::new(n)
-            } else {
-                Run::lightweight(n)
-            },
+            run: Self::empty_run(n, config),
             toss,
             config,
             rr_cursor: 0,
@@ -203,6 +171,7 @@ impl Executor {
             fault: None,
             injector: None,
             rmr_cc: CcTracker::new(),
+            spare_run: None,
         }
     }
 
@@ -221,11 +190,25 @@ impl Executor {
     /// [`Executor::new`], so a sweep that resets between trials produces
     /// byte-identical results to one that constructs per trial.
     pub fn reset(&mut self, alg: &dyn Algorithm) {
+        self.reset_spawning(alg, |_| true);
+    }
+
+    /// [`Executor::reset`] that spawns programs only for the processes in
+    /// `members`. The others hold no program until the next reset, and
+    /// activating or stepping one panics — so this is for callers that
+    /// only ever step members, such as the `(S, A)`-run construction,
+    /// where only processes of `S` act. Whatever the members do is
+    /// exactly what they would do after a full reset.
+    pub fn reset_for(&mut self, alg: &dyn Algorithm, members: &ProcMask) {
+        self.reset_spawning(alg, |p| members.contains(p));
+    }
+
+    fn reset_spawning(&mut self, alg: &dyn Algorithm, spawn: impl Fn(ProcessId) -> bool) {
         self.memory.reset();
         self.procs.clear();
         let n = self.n;
         self.procs.extend(ProcessId::all(n).map(|pid| ProcState {
-            program: alg.spawn(pid, n),
+            program: spawn(pid).then(|| alg.spawn(pid, n)),
             pending: None,
             activated: false,
         }));
@@ -237,93 +220,38 @@ impl Executor {
         self.rmr_cc.reset();
     }
 
-    /// Takes the recorded run out of the executor, leaving a fresh empty
-    /// run (same recording mode) behind — the ownership-transfer half of
+    /// Takes the recorded run out of the executor, leaving an empty run
+    /// (same recording mode) behind — the ownership-transfer half of
     /// trial reuse: the trial's product keeps the run, the executor keeps
-    /// its other buffers for the next [`Executor::reset`].
+    /// its other buffers for the next [`Executor::reset`]. The run left
+    /// behind is the one last handed to [`Executor::recycle_run`], if
+    /// any, and a new one otherwise.
     pub fn take_run(&mut self) -> Run {
-        let fresh = if self.config.record_details {
-            Run::new(self.n)
+        let empty = self
+            .spare_run
+            .take()
+            .unwrap_or_else(|| Self::empty_run(self.n, self.config));
+        std::mem::replace(&mut self.run, empty)
+    }
+
+    /// Hands a finished run back for reuse: it is emptied ([`Run::reset`])
+    /// and the next [`Executor::take_run`] leaves it behind instead of
+    /// allocating a new run, so its history and event buffers keep their
+    /// capacity from one trial to the next. A run of a different process
+    /// count or recording mode is dropped instead.
+    pub fn recycle_run(&mut self, mut run: Run) {
+        if run.n() == self.n && run.is_detailed() == self.config.record_details {
+            run.reset();
+            self.spare_run = Some(run);
+        }
+    }
+
+    fn empty_run(n: usize, config: ExecutorConfig) -> Run {
+        if config.record_details {
+            Run::new(n)
         } else {
-            Run::lightweight(self.n)
-        };
-        std::mem::replace(&mut self.run, fresh)
-    }
-
-    /// Captures a restorable checkpoint of the executor's shared state —
-    /// see [`ExecSnapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is not recording details (the restore replay
-    /// needs histories), a fault injector is armed, or a sticky fault has
-    /// fired — snapshot reuse is a fault-free-sweep primitive.
-    pub fn capture(&self) -> ExecSnapshot {
-        assert!(
-            self.run.is_detailed(),
-            "capture needs a detail-recording run (histories drive the restore replay)"
-        );
-        assert!(
-            self.fault.is_none() && self.injector.is_none(),
-            "capture is only supported on fault-free executors"
-        );
-        ExecSnapshot {
-            memory: self.memory.clone(),
-            run: self.run.clone(),
-            rmr_cc: self.rmr_cc.clone(),
-            recorded_events: self.recorded_events,
+            Run::lightweight(n)
         }
-    }
-
-    /// Restores the executor to `snap`'s state: an [`Executor::reset`]
-    /// followed by cloning back the snapshot's memory, run prefix, RMR
-    /// state, and event counter, then rebuilding program state for every
-    /// process in `activate` by replaying its recorded history (see
-    /// [`ExecSnapshot`]). Processes outside `activate` are left
-    /// unactivated, exactly as after a plain reset.
-    ///
-    /// `alg` must be the algorithm this executor (and the snapshot) was
-    /// built for, and `activate` must cover every process with a nonempty
-    /// history in the snapshot that the continuation will step — a replay
-    /// feeds a program only what the recorded run already fed it, so the
-    /// restored executor is observationally the one `snap` was captured
-    /// from, restricted to the activated processes.
-    pub fn restore_from(
-        &mut self,
-        alg: &dyn Algorithm,
-        snap: &ExecSnapshot,
-        activate: &[ProcessId],
-    ) {
-        self.reset(alg);
-        self.memory.clone_from(&snap.memory);
-        self.run.clone_from(&snap.run);
-        self.rmr_cc.clone_from(&snap.rmr_cc);
-        self.recorded_events = snap.recorded_events;
-        for &p in activate {
-            self.procs[p.0].activated = true;
-            self.replay_feedback(p, Feedback::Start);
-            for i in 0..self.run.history(p).len() {
-                let fb = match &self.run.history(p)[i] {
-                    Interaction::Toss(c) => Feedback::Coin(*c),
-                    Interaction::Op(_, resp) => Feedback::Response(resp.clone()),
-                    // Termination is the program's *output* (already in
-                    // the cloned run), not a feedback to replay.
-                    Interaction::Returned(_) => break,
-                };
-                self.replay_feedback(p, fb);
-            }
-        }
-    }
-
-    /// Advances `p`'s program with `feedback` without recording anything —
-    /// the restore-replay twin of [`Executor::feed`]: the cloned run
-    /// already contains every event this feedback corresponds to.
-    fn replay_feedback(&mut self, p: ProcessId, feedback: Feedback) {
-        let action = self.procs[p.0].program.next(feedback);
-        self.procs[p.0].pending = match action {
-            Action::Return(_) => None,
-            other => Some(other),
-        };
     }
 
     /// Arms the memory-fault adversary: faults from `plan` are delivered
@@ -438,7 +366,7 @@ impl Executor {
         self.run.clear_crash(p);
         self.rmr_cc.evict(p);
         self.procs[p.0] = ProcState {
-            program: alg.spawn(p, self.n),
+            program: Some(alg.spawn(p, self.n)),
             pending: None,
             activated: false,
         };
@@ -497,7 +425,11 @@ impl Executor {
     /// event budget but never trip it (there are at most `n`, and each one
     /// is progress), which keeps activation and peeking infallible.
     fn feed(&mut self, p: ProcessId, feedback: Feedback) {
-        let action = self.procs[p.0].program.next(feedback);
+        let program = self.procs[p.0]
+            .program
+            .as_mut()
+            .unwrap_or_else(|| panic!("{p} was not spawned by the last reset_for"));
+        let action = program.next(feedback);
         if let Action::Return(v) = action {
             self.recorded_events += 1;
             self.run.record(RunEvent::Terminated { pid: p, value: v });
@@ -1087,6 +1019,83 @@ mod tests {
             assert_eq!(exec.run().event_count(), 0, "a fresh run remains");
             assert_eq!(exec.run().is_detailed(), !lightweight, "same mode");
         }
+    }
+
+    #[test]
+    fn reset_for_members_replays_them_identically() {
+        let alg = counter_like();
+        let members = ProcMask::from([ProcessId(0), ProcessId(2)]);
+        let mut full = Executor::new(&alg, 3, Arc::new(ZeroTosses), ExecutorConfig::default());
+        let mut partial = Executor::new(&alg, 3, Arc::new(ZeroTosses), ExecutorConfig::default());
+        partial.reset_for(&alg, &members);
+        for exec in [&mut full, &mut partial] {
+            while members.iter().any(|p| !exec.is_terminated(p)) {
+                for p in &members {
+                    exec.step(p).unwrap();
+                }
+            }
+        }
+        assert_eq!(full.run().events(), partial.run().events());
+        assert_eq!(full.memory().stats(), partial.memory().stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "not spawned")]
+    fn stepping_a_process_left_out_by_reset_for_panics() {
+        let alg = counter_like();
+        let mut exec = Executor::new(&alg, 3, Arc::new(ZeroTosses), ExecutorConfig::default());
+        exec.reset_for(&alg, &ProcMask::from([ProcessId(0)]));
+        let _ = exec.step(ProcessId(1));
+    }
+
+    #[test]
+    fn take_run_after_a_recycle_returns_an_empty_run() {
+        let alg = counter_like();
+        let cfg = ExecutorConfig::default();
+        let mut exec = Executor::new(&alg, 3, Arc::new(ZeroTosses), cfg);
+        while exec.step_round_robin().unwrap() {}
+        let first = exec.take_run();
+        let expected = first.events().to_vec();
+        exec.recycle_run(first);
+        exec.reset(&alg);
+        while exec.step_round_robin().unwrap() {}
+        // The recycled run becomes the executor's run, emptied.
+        let second = exec.take_run();
+        assert_eq!(second.events(), &expected[..]);
+        let recycled = exec.run();
+        assert_eq!(recycled.event_count(), 0);
+        assert!(recycled.events().is_empty());
+        assert_eq!(recycled.counters(), Run::new(3).counters());
+        for p in ProcessId::all(3) {
+            assert!(recycled.history(p).is_empty(), "{p} history");
+            assert_eq!(recycled.verdict(p), None, "{p} verdict");
+        }
+        // Recycling again and taking without a step hands back an empty run.
+        exec.recycle_run(second);
+        let empty = exec.take_run();
+        assert_eq!(empty.event_count(), 0);
+        assert!(ProcessId::all(3).all(|p| empty.history(p).is_empty()));
+    }
+
+    #[test]
+    fn recycled_runs_of_another_shape_are_never_reused() {
+        let alg = counter_like();
+        for (run, why) in [
+            (Run::new(2), "wrong n"),
+            (Run::lightweight(3), "wrong detail mode"),
+        ] {
+            let mut exec = Executor::new(&alg, 3, Arc::new(ZeroTosses), ExecutorConfig::default());
+            exec.recycle_run(run);
+            exec.take_run();
+            assert_eq!(exec.run().n(), 3, "{why}");
+            assert!(exec.run().is_detailed(), "{why}");
+            while exec.step_round_robin().unwrap() {}
+            assert!(exec.all_terminated(), "{why}");
+        }
+        let mut light = Executor::new(&alg, 3, Arc::new(ZeroTosses), ExecutorConfig::lightweight());
+        light.recycle_run(Run::new(3));
+        light.take_run();
+        assert!(!light.run().is_detailed(), "a detailed run is not reused");
     }
 
     #[test]

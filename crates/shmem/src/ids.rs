@@ -242,6 +242,21 @@ impl ProcMask {
         }
     }
 
+    /// Keeps the ids present in exactly one of the two sets, trimming
+    /// trailing zero spill blocks like [`ProcMask::intersect_with`].
+    pub fn symmetric_difference_with(&mut self, other: &ProcMask) {
+        self.lo ^= other.lo;
+        if self.hi.len() < other.hi.len() {
+            self.hi.resize(other.hi.len(), 0);
+        }
+        for (dst, src) in self.hi.iter_mut().zip(&other.hi) {
+            *dst ^= src;
+        }
+        while self.hi.last() == Some(&0) {
+            self.hi.pop();
+        }
+    }
+
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> ProcMaskIter<'_> {
         ProcMaskIter {
@@ -444,6 +459,19 @@ mod tests {
         assert_eq!(u.iter().map(|p| p.0).collect::<Vec<_>>(), vec![1, 3, 200]);
         assert!(small.is_subset(&u));
         assert!(tall.is_subset(&u));
+    }
+
+    #[test]
+    fn proc_mask_symmetric_difference_is_canonical() {
+        let a: ProcMask = [1usize, 3, 200].into_iter().map(ProcessId).collect();
+        let b: ProcMask = [3usize, 4, 200].into_iter().map(ProcessId).collect();
+        let mut d = a.clone();
+        d.symmetric_difference_with(&b);
+        let expect: ProcMask = [1usize, 4].into_iter().map(ProcessId).collect();
+        // The spill block cancels out and is trimmed, so equality holds.
+        assert_eq!(d, expect);
+        d.symmetric_difference_with(&d.clone());
+        assert_eq!(d, ProcMask::new());
     }
 
     #[test]

@@ -232,18 +232,31 @@ impl SharedMemory {
         &self.stats
     }
 
-    /// A snapshot of every touched register's value, for end-of-round
-    /// comparisons. Untouched registers are omitted (they hold their initial
-    /// values by definition).
-    pub fn snapshot_values(&self) -> BTreeMap<RegisterId, Value> {
-        self.states().map(|(r, s)| (r, s.value().clone())).collect()
+    /// A snapshot of every touched register's value and `Pset`, in id
+    /// order, for end-of-round comparisons. Untouched registers are
+    /// omitted (they hold their initial values by definition). One
+    /// allocation per snapshot: `Pset`s are bitmasks and values share
+    /// their payload slabs.
+    pub fn snapshot(&self) -> Vec<RegisterSnapshot> {
+        let mut out = Vec::with_capacity(self.touched().count());
+        out.extend(self.states().map(|(register, s)| RegisterSnapshot {
+            register,
+            value: s.value().clone(),
+            pset: s.pset().clone(),
+        }));
+        out
     }
+}
 
-    /// A snapshot of every touched register's `Pset`, as bitmasks (one
-    /// word copy per register instead of a per-member allocation).
-    pub fn snapshot_psets(&self) -> BTreeMap<RegisterId, ProcMask> {
-        self.states().map(|(r, s)| (r, s.pset().clone())).collect()
-    }
+/// One register's state in a [`SharedMemory::snapshot`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RegisterSnapshot {
+    /// The register.
+    pub register: RegisterId,
+    /// Its value.
+    pub value: Value,
+    /// Its `Pset`: the processes holding a valid link.
+    pub pset: ProcMask,
 }
 
 /// Counts of operations applied to a [`SharedMemory`], by kind.
@@ -456,9 +469,9 @@ mod tests {
     fn snapshots_cover_touched_registers_only() {
         let mut mem = SharedMemory::new();
         mem.apply(P0, &Operation::Swap(RegisterId(2), int(4)));
-        let values = mem.snapshot_values();
-        assert_eq!(values.len(), 1);
-        assert_eq!(values[&RegisterId(2)], int(4));
+        let snap = mem.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!((snap[0].register, &snap[0].value), (RegisterId(2), &int(4)));
         let touched: Vec<_> = mem.touched().collect();
         assert_eq!(touched, vec![RegisterId(2)]);
     }
@@ -476,9 +489,10 @@ mod tests {
         );
         assert_eq!(mem.peek(RegisterId(5_000_000)), int(7));
         assert!(mem.peek_linked(RegisterId(5_000_000), P0));
-        let values = mem.snapshot_values();
-        assert_eq!(values.len(), 3);
-        assert_eq!(values[&RegisterId(5_000_000)], int(7));
+        let snap = mem.snapshot();
+        let regs: Vec<_> = snap.iter().map(|r| r.register).collect();
+        assert_eq!(regs, mem.touched().collect::<Vec<_>>(), "id order");
+        assert_eq!(snap[2].value, int(7));
         // Spill-tier registers reset like slab ones.
         mem.reset();
         assert_eq!(mem.touched().count(), 0);
@@ -503,10 +517,7 @@ mod tests {
         let mut mem = SharedMemory::new();
         mem.apply(P0, &Operation::Ll(RegisterId(0)));
         mem.apply(P1, &Operation::Ll(RegisterId(0)));
-        let psets = mem.snapshot_psets();
-        assert_eq!(
-            psets[&RegisterId(0)].iter().collect::<Vec<_>>(),
-            vec![P0, P1]
-        );
+        let snap = mem.snapshot();
+        assert_eq!(snap[0].pset.iter().collect::<Vec<_>>(), vec![P0, P1]);
     }
 }

@@ -97,29 +97,37 @@ pub enum Interaction {
 /// `t(R) = max_i t(p_i, R)` is [`Run::max_shared_steps`].
 #[derive(Clone, Debug)]
 pub struct Run {
-    n: usize,
     details: bool,
     events: Vec<RunEvent>,
     /// Total events recorded, maintained even in lightweight mode (where
     /// `events` itself stays empty).
     event_count: u64,
-    histories: Vec<Vec<Interaction>>,
-    shared_steps: Vec<u64>,
-    tosses: Vec<u64>,
-    verdicts: Vec<Option<Value>>,
-    /// Crash-stop flags (see [`Run::mark_crashed`]); a crashed process
+    /// Per-process accounting, indexed by process id: one allocation per
+    /// run instead of one per counter.
+    procs: Vec<ProcRecord>,
+}
+
+/// One process's share of a [`Run`].
+#[derive(Clone, Debug, Default)]
+struct ProcRecord {
+    /// Interaction history (empty in lightweight mode).
+    history: Vec<Interaction>,
+    shared_steps: u64,
+    tosses: u64,
+    verdict: Option<Value>,
+    /// Crash-stop flag (see [`Run::mark_crashed`]); a crashed process
     /// takes no further events until [`Run::clear_crash`] revives it.
-    crashed: Vec<bool>,
-    /// Remote memory references per process under the cache-coherent
-    /// cost model (see [`Run::cc_rmrs`]).
-    cc_rmrs: Vec<u64>,
-    /// Remote memory references per process under the
-    /// distributed-shared-memory cost model (see [`Run::dsm_rmrs`]).
-    dsm_rmrs: Vec<u64>,
-    /// Crashes suffered per process (each [`Run::mark_crashed`] call).
-    crash_counts: Vec<u64>,
-    /// Recoveries per process (each [`Run::clear_crash`] call).
-    recovery_counts: Vec<u64>,
+    crashed: bool,
+    /// Remote memory references under the cache-coherent cost model (see
+    /// [`Run::cc_rmrs`]).
+    cc_rmrs: u64,
+    /// Remote memory references under the distributed-shared-memory cost
+    /// model (see [`Run::dsm_rmrs`]).
+    dsm_rmrs: u64,
+    /// Crashes suffered (each [`Run::mark_crashed`] call).
+    crash_count: u64,
+    /// Recoveries (each [`Run::clear_crash`] call).
+    recovery_count: u64,
 }
 
 /// A cheap structured summary of a run: per-process operation and toss
@@ -230,19 +238,10 @@ impl Run {
 
     fn with_details(n: usize, details: bool) -> Self {
         Run {
-            n,
             details,
             events: Vec::new(),
             event_count: 0,
-            histories: vec![Vec::new(); n],
-            shared_steps: vec![0; n],
-            tosses: vec![0; n],
-            verdicts: vec![None; n],
-            crashed: vec![false; n],
-            cc_rmrs: vec![0; n],
-            dsm_rmrs: vec![0; n],
-            crash_counts: vec![0; n],
-            recovery_counts: vec![0; n],
+            procs: vec![ProcRecord::default(); n],
         }
     }
 
@@ -253,7 +252,7 @@ impl Run {
 
     /// The number of processes in the system.
     pub fn n(&self) -> usize {
-        self.n
+        self.procs.len()
     }
 
     /// Appends an event, updating all per-process accounting.
@@ -265,28 +264,30 @@ impl Run {
     pub fn record(&mut self, ev: RunEvent) {
         let pid = ev.pid();
         self.check_live(pid);
+        let details = self.details;
+        let proc = &mut self.procs[pid.0];
         match &ev {
             RunEvent::Toss { outcome, .. } => {
-                self.tosses[pid.0] += 1;
-                if self.details {
-                    self.histories[pid.0].push(Interaction::Toss(*outcome));
+                proc.tosses += 1;
+                if details {
+                    proc.history.push(Interaction::Toss(*outcome));
                 }
             }
             RunEvent::SharedOp { op, resp, .. } => {
-                self.shared_steps[pid.0] += 1;
-                if self.details {
-                    self.histories[pid.0].push(Interaction::Op(op.clone(), resp.clone()));
+                proc.shared_steps += 1;
+                if details {
+                    proc.history.push(Interaction::Op(op.clone(), resp.clone()));
                 }
             }
             RunEvent::Terminated { value, .. } => {
-                self.verdicts[pid.0] = Some(value.clone());
-                if self.details {
-                    self.histories[pid.0].push(Interaction::Returned(value.clone()));
+                proc.verdict = Some(value.clone());
+                if details {
+                    proc.history.push(Interaction::Returned(value.clone()));
                 }
             }
         }
         self.event_count += 1;
-        if self.details {
+        if details {
             self.events.push(ev);
         }
     }
@@ -301,10 +302,11 @@ impl Run {
     /// Panics under the same conditions as [`Run::record`].
     pub fn record_shared(&mut self, pid: ProcessId, op: &Operation, resp: &Response) {
         self.check_live(pid);
-        self.shared_steps[pid.0] += 1;
+        let proc = &mut self.procs[pid.0];
+        proc.shared_steps += 1;
         self.event_count += 1;
         if self.details {
-            self.histories[pid.0].push(Interaction::Op(op.clone(), resp.clone()));
+            proc.history.push(Interaction::Op(op.clone(), resp.clone()));
             self.events.push(RunEvent::SharedOp {
                 pid,
                 op: op.clone(),
@@ -318,29 +320,26 @@ impl Run {
     /// keeps its allocation. The recording mode and process count are
     /// unchanged; after a reset the run is observationally a freshly
     /// constructed one. This is the reusable-trial-context primitive
-    /// behind [`Executor::reset`](crate::Executor::reset).
+    /// behind [`Executor::reset`](crate::Executor::reset) and
+    /// [`Executor::recycle_run`](crate::Executor::recycle_run).
     pub fn reset(&mut self) {
         self.events.clear();
         self.event_count = 0;
-        for h in &mut self.histories {
-            h.clear();
+        for proc in &mut self.procs {
+            let mut history = std::mem::take(&mut proc.history);
+            history.clear();
+            *proc = ProcRecord {
+                history,
+                ..ProcRecord::default()
+            };
         }
-        self.shared_steps.fill(0);
-        self.tosses.fill(0);
-        for v in &mut self.verdicts {
-            *v = None;
-        }
-        self.crashed.fill(false);
-        self.cc_rmrs.fill(0);
-        self.dsm_rmrs.fill(0);
-        self.crash_counts.fill(0);
-        self.recovery_counts.fill(0);
     }
 
     fn check_live(&self, pid: ProcessId) {
-        assert!(pid.0 < self.n, "event for out-of-range {pid}");
-        assert!(self.verdicts[pid.0].is_none(), "event for terminated {pid}");
-        assert!(!self.crashed[pid.0], "event for crashed {pid}");
+        assert!(pid.0 < self.n(), "event for out-of-range {pid}");
+        let proc = &self.procs[pid.0];
+        assert!(proc.verdict.is_none(), "event for terminated {pid}");
+        assert!(!proc.crashed, "event for crashed {pid}");
     }
 
     /// The global event sequence, in execution order.
@@ -354,51 +353,38 @@ impl Run {
         self.event_count
     }
 
+    fn per_proc(&self, field: impl Fn(&ProcRecord) -> u64) -> Vec<u64> {
+        self.procs.iter().map(field).collect()
+    }
+
     /// The cheap structured summary of this run — per-process ops/tosses,
     /// totals, and termination count. Works in both recording modes.
     pub fn counters(&self) -> OpCounters {
         OpCounters {
-            ops: self.shared_steps.clone(),
-            tosses: self.tosses.clone(),
+            ops: self.per_proc(|p| p.shared_steps),
+            tosses: self.per_proc(|p| p.tosses),
             events: self.event_count,
-            terminated: self.verdicts.iter().filter(|v| v.is_some()).count(),
-            cc_rmrs: self.cc_rmrs.clone(),
-            dsm_rmrs: self.dsm_rmrs.clone(),
-            crashes: self.crash_counts.clone(),
-            recoveries: self.recovery_counts.clone(),
-        }
-    }
-
-    /// Consumes the run and returns its summary, *moving* the per-process
-    /// counter vectors out instead of cloning them — the right call when
-    /// the run is done (e.g. a lightweight sweep trial that only reports
-    /// counters).
-    pub fn into_counters(self) -> OpCounters {
-        OpCounters {
-            terminated: self.verdicts.iter().filter(|v| v.is_some()).count(),
-            ops: self.shared_steps,
-            tosses: self.tosses,
-            events: self.event_count,
-            cc_rmrs: self.cc_rmrs,
-            dsm_rmrs: self.dsm_rmrs,
-            crashes: self.crash_counts,
-            recoveries: self.recovery_counts,
+            terminated: self.terminated().count(),
+            cc_rmrs: self.per_proc(|p| p.cc_rmrs),
+            dsm_rmrs: self.per_proc(|p| p.dsm_rmrs),
+            crashes: self.per_proc(|p| p.crash_count),
+            recoveries: self.per_proc(|p| p.recovery_count),
         }
     }
 
     /// `t(p, R)`: the number of shared-memory steps `p` has performed.
     pub fn shared_steps(&self, p: ProcessId) -> u64 {
-        self.shared_steps[p.0]
+        self.procs[p.0].shared_steps
     }
 
     /// `t(R) = max_p t(p, R)`: the worst per-process shared-access count.
     pub fn max_shared_steps(&self) -> u64 {
-        self.shared_steps.iter().copied().max().unwrap_or(0)
+        self.procs.iter().map(|p| p.shared_steps).max().unwrap_or(0)
     }
 
     /// `numtosses(p)`: the number of coin tosses `p` has performed.
     pub fn tosses(&self, p: ProcessId) -> u64 {
-        self.tosses[p.0]
+        self.procs[p.0].tosses
     }
 
     /// Charges `p` for the remote memory references one shared step cost:
@@ -407,47 +393,52 @@ impl Run {
     /// itself only aggregates (remoteness is decided by the executor's
     /// cache/home tracking).
     pub fn record_rmrs(&mut self, pid: ProcessId, cc: u64, dsm: u64) {
-        self.cc_rmrs[pid.0] += cc;
-        self.dsm_rmrs[pid.0] += dsm;
+        let proc = &mut self.procs[pid.0];
+        proc.cc_rmrs += cc;
+        proc.dsm_rmrs += dsm;
     }
 
     /// `p`'s remote memory references under the cache-coherent model.
     pub fn cc_rmrs(&self, p: ProcessId) -> u64 {
-        self.cc_rmrs[p.0]
+        self.procs[p.0].cc_rmrs
     }
 
     /// `p`'s remote memory references under the DSM model.
     pub fn dsm_rmrs(&self, p: ProcessId) -> u64 {
-        self.dsm_rmrs[p.0]
+        self.procs[p.0].dsm_rmrs
     }
 
     /// The number of crashes `p` has suffered.
     pub fn crash_count(&self, p: ProcessId) -> u64 {
-        self.crash_counts[p.0]
+        self.procs[p.0].crash_count
     }
 
     /// The number of times `p` has recovered from a crash.
     pub fn recovery_count(&self, p: ProcessId) -> u64 {
-        self.recovery_counts[p.0]
+        self.procs[p.0].recovery_count
     }
 
     /// The value `p` returned, if `p` has terminated.
     pub fn verdict(&self, p: ProcessId) -> Option<&Value> {
-        self.verdicts[p.0].as_ref()
+        self.procs[p.0].verdict.as_ref()
     }
 
     /// `true` iff every process has terminated (the run is a
     /// *terminating run* in the paper's sense).
     pub fn is_terminating(&self) -> bool {
-        self.verdicts.iter().all(Option::is_some)
+        self.procs.iter().all(|p| p.verdict.is_some())
     }
 
     /// The processes that have terminated so far, in id order.
     pub fn terminated(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.verdicts
+        self.pids_where(|p| p.verdict.is_some())
+    }
+
+    fn pids_where(&self, pred: fn(&ProcRecord) -> bool) -> impl Iterator<Item = ProcessId> + '_ {
+        self.procs
             .iter()
             .enumerate()
-            .filter(|(_, v)| v.is_some())
+            .filter(move |(_, p)| pred(p))
             .map(|(i, _)| ProcessId(i))
     }
 
@@ -460,10 +451,11 @@ impl Run {
     /// Panics if `p` is out of range or has already terminated (a
     /// terminated process cannot crash).
     pub fn mark_crashed(&mut self, p: ProcessId) {
-        assert!(p.0 < self.n, "crash for out-of-range {p}");
-        assert!(self.verdicts[p.0].is_none(), "crash for terminated {p}");
-        self.crashed[p.0] = true;
-        self.crash_counts[p.0] += 1;
+        assert!(p.0 < self.n(), "crash for out-of-range {p}");
+        let proc = &mut self.procs[p.0];
+        assert!(proc.verdict.is_none(), "crash for terminated {p}");
+        proc.crashed = true;
+        proc.crash_count += 1;
     }
 
     /// Clears `p`'s crash flag, re-admitting its events: the
@@ -476,35 +468,32 @@ impl Run {
     ///
     /// Panics if `p` is out of range or not currently crashed.
     pub fn clear_crash(&mut self, p: ProcessId) {
-        assert!(p.0 < self.n, "recovery for out-of-range {p}");
-        assert!(self.crashed[p.0], "recovery for non-crashed {p}");
-        self.crashed[p.0] = false;
-        self.recovery_counts[p.0] += 1;
+        assert!(p.0 < self.n(), "recovery for out-of-range {p}");
+        let proc = &mut self.procs[p.0];
+        assert!(proc.crashed, "recovery for non-crashed {p}");
+        proc.crashed = false;
+        proc.recovery_count += 1;
     }
 
     /// `true` iff `p` has been crash-stopped.
     pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.crashed[p.0]
+        self.procs[p.0].crashed
     }
 
     /// The processes crashed so far, in id order.
     pub fn crashed(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.crashed
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c)
-            .map(|(i, _)| ProcessId(i))
+        self.pids_where(|p| p.crashed)
     }
 
     /// `p`'s interaction history: everything `p` has observed, in order.
     pub fn history(&self, p: ProcessId) -> &[Interaction] {
-        &self.histories[p.0]
+        &self.procs[p.0].history
     }
 
     /// `true` iff `p` has taken at least one step (toss, shared op, or
     /// termination).
     pub fn has_stepped(&self, p: ProcessId) -> bool {
-        !self.histories[p.0].is_empty()
+        !self.procs[p.0].history.is_empty()
     }
 
     /// The index (into [`Run::events`]) of the first event in which each
@@ -521,7 +510,7 @@ impl fmt::Display for Run {
         writeln!(
             f,
             "run of {} processes, {} events:",
-            self.n,
+            self.n(),
             self.events.len()
         )?;
         for ev in &self.events {
@@ -684,8 +673,6 @@ mod tests {
                 by_parts.history(ProcessId(1))
             );
             assert_eq!(by_event.counters(), by_parts.counters());
-            // The consuming summary agrees with the borrowing one.
-            assert_eq!(by_parts.counters(), by_event.into_counters());
         }
     }
 
