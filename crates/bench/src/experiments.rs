@@ -122,28 +122,32 @@ pub fn e1_secretive_schedules(
     for &n in sizes {
         // Each random configuration is one independent trial returning its
         // (worst movers, restriction checks) tally.
-        let tallies = sweep.run_indexed(configs_per_size, |trial| {
-            let c = trial.index;
-            let regs = (n as u64 / 2).max(2);
-            let cfg = random_move_config(n, regs, c as u64 * 7919 + n as u64);
-            let sigma = secretive_complete_schedule(&cfg);
-            let flows = flow_report(&sigma, &cfg);
-            let mut worst = 0usize;
-            let mut restriction_checks = 0usize;
-            for (&r, (src, m)) in &flows {
-                assert!(m.len() <= 2, "Lemma 4.1 violated at {r}");
-                worst = worst.max(m.len());
-                // Lemma 4.2: restricting to exactly the movers preserves
-                // the source.
-                let keep: ProcSet = m.iter().copied().collect();
-                let restricted = llsc_core::restrict(&sigma, &keep);
-                let restricted_flows = flow_report(&restricted, &cfg);
-                let restricted_src = restricted_flows.get(&r).map(|(s, _)| *s).unwrap_or(r);
-                assert_eq!(restricted_src, *src, "Lemma 4.2 violated at {r}");
-                restriction_checks += 1;
-            }
-            (worst, restriction_checks)
-        });
+        let tallies = sweep.run_range(
+            0..configs_per_size,
+            || (),
+            |(), trial| {
+                let c = trial.index;
+                let regs = (n as u64 / 2).max(2);
+                let cfg = random_move_config(n, regs, c as u64 * 7919 + n as u64);
+                let sigma = secretive_complete_schedule(&cfg);
+                let flows = flow_report(&sigma, &cfg);
+                let mut worst = 0usize;
+                let mut restriction_checks = 0usize;
+                for (&r, (src, m)) in &flows {
+                    assert!(m.len() <= 2, "Lemma 4.1 violated at {r}");
+                    worst = worst.max(m.len());
+                    // Lemma 4.2: restricting to exactly the movers preserves
+                    // the source.
+                    let keep: ProcSet = m.iter().copied().collect();
+                    let restricted = llsc_core::restrict(&sigma, &keep);
+                    let restricted_flows = flow_report(&restricted, &cfg);
+                    let restricted_src = restricted_flows.get(&r).map(|(s, _)| *s).unwrap_or(r);
+                    assert_eq!(restricted_src, *src, "Lemma 4.2 violated at {r}");
+                    restriction_checks += 1;
+                }
+                (worst, restriction_checks)
+            },
+        );
         let worst = tallies.iter().map(|&(w, _)| w).max().unwrap_or(0);
         let restriction_checks: usize = tallies.iter().map(|&(_, c)| c).sum();
         // The paper's chain example as a fixed configuration.
@@ -1126,7 +1130,7 @@ pub fn e15_crash_degradation(
     let names: Vec<String> = (0..ALGS)
         .map(|a| e15_algorithm(a, n).name().to_string())
         .collect();
-    let outcomes = sweep.run_fallible_with(
+    let outcomes = sweep.run_fallible(
         &items,
         |trial, &(a, k, _rep)| {
             let alg = e15_algorithm(a, n);
@@ -1424,7 +1428,7 @@ pub fn e16_fault_degradation(
     // Fault times land inside the early part of the run, where every
     // algorithm still has SCs in flight and registers worth corrupting.
     let plan_for = |seed: u64, f: usize| FaultPlan::seeded(seed, f, f, 4 * n as u64);
-    let outcomes = sweep.run_fallible_with(
+    let outcomes = sweep.run_fallible(
         &items,
         |trial, &(a, f, _rep)| {
             let alg = e16_algorithm(a, n);
@@ -1667,7 +1671,7 @@ pub fn e17_chaos_mode(
             E17_MAX_STEPS,
         )
     };
-    let outcomes = sweep.run_fallible_with(
+    let outcomes = sweep.run_fallible(
         &items,
         |trial, &(a, intensity, _rep)| {
             let alg = e17_algorithm(a, n);
@@ -1889,7 +1893,7 @@ pub fn e19_recovery_sweep(
         .map(|a| e19_algorithm(a).name().to_string())
         .collect();
     let spec = e19_recovery_spec(n);
-    let outcomes = sweep.run_fallible_with(
+    let outcomes = sweep.run_fallible(
         &items,
         |trial, &(a, k, _rep)| {
             let alg = e19_algorithm(a);
@@ -2176,7 +2180,7 @@ pub fn e20_chaos_recovery_sweep(
     let names: Vec<String> = (0..ALGS)
         .map(|a| e20_algorithm(a, n).name().to_string())
         .collect();
-    let outcomes = sweep.run_fallible_with(
+    let outcomes = sweep.run_fallible(
         &items,
         |trial, &(a, intensity, _rep)| {
             let alg = e20_algorithm(a, n);

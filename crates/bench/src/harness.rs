@@ -241,8 +241,9 @@ impl HarnessOpts {
     }
 
     /// Runs an experiment body and emits its tables with a **unified
-    /// failure contract**: if the body panics (a sweep re-raising an
-    /// isolated trial failure, or an experiment-internal assertion), the
+    /// failure contract**: if the body panics (a [`Sweep::run`] or
+    /// [`Sweep::run_range`] re-raising its lowest-index trial failure
+    /// after every other trial ran, or an experiment-internal assertion), the
     /// panic is converted into a [`TrialFailure`] and emitted through
     /// [`HarnessOpts::emit_with_failures`] — so *every* `table_*` binary
     /// exits nonzero with a populated `failures` array in its artifact on

@@ -15,18 +15,19 @@
 //!
 //! The robustness semantics, in one place:
 //!
-//! * **chunk watchdog** — each chunk attempt runs under an optional
-//!   wall-clock deadline; on expiry the runner raises the global sweep
-//!   abort ([`llsc_shmem::sweep::request_sweep_abort`]), in-flight trials
-//!   panic at their next executor poll, and the attempt is recorded as a
-//!   timeout.
+//! * **chunk watchdog** — each chunk attempt runs its sweeps under a
+//!   fresh cancel token ([`Sweep::with_cancel`]) and an optional
+//!   wall-clock deadline; on expiry the runner raises the token, the
+//!   attempt's in-flight trials panic at their next executor poll, and
+//!   the attempt is recorded as a timeout. No other sweep in the process
+//!   sees the token.
 //! * **bounded retry with deterministic backoff** — a failed chunk
 //!   attempt sleeps `backoff_ms · 2^attempt` and retries, up to the
 //!   spec's retry budget.
 //! * **interrupt flush** — a [`JobControl`] interrupt flag (wired to
-//!   SIGINT/SIGTERM by the `llsc job` CLI) aborts the in-flight chunk,
-//!   flushes a final checkpoint, and exits with the interrupted status;
-//!   nothing completed is lost.
+//!   SIGINT/SIGTERM by the `llsc job` CLI) raises the in-flight chunk's
+//!   token the same way, flushes a final checkpoint, and exits with the
+//!   interrupted status; nothing completed is lost.
 //! * **graceful degradation** — a chunk that exhausts its retry budget
 //!   is recorded in the job manifest as failed; the job still completes,
 //!   emitting a *partial* artifact (rows whose trials all finished) plus
@@ -48,7 +49,6 @@ use llsc_core::{
     ExpectationSample,
 };
 use llsc_shmem::json;
-use llsc_shmem::sweep::{clear_sweep_abort, request_sweep_abort};
 use llsc_shmem::{atomic_write, checkpoint, Algorithm, SeededTosses, Sweep, ZeroTosses};
 use llsc_wakeup::{correct_algorithms, randomized_algorithms};
 use std::collections::BTreeSet;
@@ -865,23 +865,26 @@ enum AttemptOutcome {
 }
 
 /// Runs one chunk attempt under the wall-clock watchdog and the
-/// interrupt flag. The body executes on a scoped worker thread; on
-/// timeout or interrupt the monitor raises the global sweep abort, the
-/// body's in-flight trials panic at their next executor poll, and the
-/// unwound attempt is classified here. The abort flag is always cleared
-/// before returning.
+/// interrupt flag. The body executes on a scoped worker thread and runs
+/// its sweeps on `sweep` with a fresh cancel token; on timeout or
+/// interrupt the monitor raises that token, the body's in-flight trials
+/// panic at their next executor poll, and the unwound attempt is
+/// classified from what the monitor saw.
 fn run_chunk_guarded(
     timeout: Option<Duration>,
     interrupt: &AtomicBool,
-    body: impl FnOnce() -> Result<Vec<TrialRecord>, String> + Send,
+    sweep: Sweep,
+    body: impl FnOnce(&Sweep) -> Result<Vec<TrialRecord>, String> + Send,
 ) -> AttemptOutcome {
     type BodyResult = std::thread::Result<Result<Vec<TrialRecord>, String>>;
+    let cancel = Arc::new(AtomicBool::new(false));
+    let sweep = sweep.with_cancel(cancel.clone());
     let done = AtomicBool::new(false);
     let slot: Mutex<Option<BodyResult>> = Mutex::new(None);
-    let mut timed_out = false;
+    let (mut interrupted, mut timed_out) = (false, false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let result = catch_unwind(AssertUnwindSafe(body));
+            let result = catch_unwind(AssertUnwindSafe(|| body(&sweep)));
             *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             done.store(true, Ordering::SeqCst);
         });
@@ -889,16 +892,15 @@ fn run_chunk_guarded(
         while !done.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(5));
             if interrupt.load(Ordering::SeqCst) {
-                request_sweep_abort();
-            } else if let Some(limit) = timeout {
-                if !timed_out && started.elapsed() > limit {
-                    timed_out = true;
-                    request_sweep_abort();
-                }
+                interrupted = true;
+            } else if timeout.is_some_and(|limit| started.elapsed() > limit) {
+                timed_out = true;
+            }
+            if interrupted || timed_out {
+                cancel.store(true, Ordering::SeqCst);
             }
         }
     });
-    clear_sweep_abort();
     let result = slot
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -912,7 +914,7 @@ fn run_chunk_guarded(
         },
         Err(panic) => {
             let message = panic_message(panic.as_ref());
-            if interrupt.load(Ordering::SeqCst) {
+            if interrupted {
                 AttemptOutcome::Interrupted
             } else if timed_out {
                 AttemptOutcome::Failed {
@@ -951,11 +953,10 @@ fn run_chunk_body(
     cells: &[Cell],
     start: usize,
     len: usize,
-    threads: usize,
+    sweep: &Sweep,
 ) -> Result<Vec<TrialRecord>, String> {
     let algs = spec.algorithms();
     let cfg = spec.adversary_config();
-    let sweep = Sweep::with_threads(threads).seeded(spec.seed);
     let end = start + len;
     let mut records = Vec::with_capacity(len);
     for (cell_index, cell) in cells.iter().enumerate() {
@@ -981,7 +982,7 @@ fn run_chunk_body(
                     toss,
                     &cfg,
                     check_claims,
-                    &sweep,
+                    sweep,
                     local_lo..local_lo + local_count,
                 )
                 .map_err(|e| {
@@ -1024,14 +1025,13 @@ fn run_chunk_body(
                 } else {
                     E20_DEFAULT_MAX_EVENTS
                 };
-                // Trial identity is the global index alone (the range
-                // variant derives each seed from `(sweep seed, global
-                // index)`), so chunked execution reproduces exactly the
-                // trials `e20_chaos_recovery_sweep` runs — same cases,
-                // same classes, same counters.
-                let chunk = sweep.run_indexed_range_with_scratch(
-                    lo,
-                    local_count,
+                // Trial identity is the global index alone (`run_range`
+                // derives each seed from `(sweep seed, global index)`),
+                // so chunked execution reproduces exactly the trials
+                // `e20_chaos_recovery_sweep` runs — same cases, same
+                // classes, same counters.
+                let chunk = sweep.run_range(
+                    lo..hi,
                     || (),
                     |(), trial| {
                         let alg = crate::e20_algorithm(cell.alg, cell.n);
@@ -1512,8 +1512,9 @@ fn drive(
             }
             let timeout =
                 (spec.chunk_timeout_ms > 0).then(|| Duration::from_millis(spec.chunk_timeout_ms));
-            let outcome = run_chunk_guarded(timeout, &control.interrupt, || {
-                run_chunk_body(spec, &cells, start, len, threads)
+            let sweep = Sweep::with_threads(threads).seeded(spec.seed);
+            let outcome = run_chunk_guarded(timeout, &control.interrupt, sweep, |sweep| {
+                run_chunk_body(spec, &cells, start, len, sweep)
             });
             match outcome {
                 AttemptOutcome::Success(records) => {
@@ -1726,7 +1727,6 @@ pub fn job_status(dir: &Path) -> Result<String, String> {
 mod tests {
     use super::*;
     use llsc_shmem::rng::trial_seed;
-    use llsc_shmem::sweep::sweep_abort_requested;
 
     fn scratch_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("llsc-job-{name}-{}", std::process::id()));
@@ -1986,36 +1986,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A chunk body that mimics an executor-polling trial: it spins until
+    /// the monitor raises the token it was given, then panics the way the
+    /// executor's poll does.
+    fn polling_body(sweep: &Sweep) -> Result<Vec<TrialRecord>, String> {
+        let token = sweep.cancel.as_ref().expect("the attempt carries a token");
+        loop {
+            if token.load(Ordering::SeqCst) {
+                panic!("sweep cancelled after 0 recorded events");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn guarded_chunk_classifies_interrupts() {
         let interrupt = AtomicBool::new(true);
-        // The body mimics an executor-polling trial: it spins until the
-        // monitor raises the global abort, then panics like
-        // `check_trial_deadline` does.
-        let outcome = run_chunk_guarded(None, &interrupt, || loop {
-            if sweep_abort_requested() {
-                panic!("sweep abort requested after 0 recorded events");
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        });
+        let outcome = run_chunk_guarded(None, &interrupt, Sweep::sequential(), polling_body);
         assert!(matches!(outcome, AttemptOutcome::Interrupted));
-        assert!(!sweep_abort_requested(), "abort flag is cleared afterwards");
     }
 
     #[test]
     fn guarded_chunk_classifies_timeouts() {
         let interrupt = AtomicBool::new(false);
-        let outcome = run_chunk_guarded(Some(Duration::from_millis(30)), &interrupt, || loop {
-            if sweep_abort_requested() {
-                panic!("sweep abort requested after 0 recorded events");
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        });
+        let timeout = Some(Duration::from_millis(30));
+        let outcome = run_chunk_guarded(timeout, &interrupt, Sweep::sequential(), polling_body);
         match outcome {
             AttemptOutcome::Failed { kind, .. } => assert_eq!(kind, "timeout"),
             _ => panic!("expected a timeout failure"),
         }
-        assert!(!sweep_abort_requested());
     }
 
     #[test]

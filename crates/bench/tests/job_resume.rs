@@ -37,9 +37,11 @@ fn stop_after(chunks: usize) -> JobControl {
     }
 }
 
-/// The clean-run artifact every interrupted variant must reproduce.
-fn uninterrupted_artifact(spec: &JobSpec, threads: usize) -> String {
-    let dir = scratch(&format!("clean-{threads}"));
+/// The clean-run artifact every interrupted variant must reproduce, run
+/// in a directory of its own per calling test (`name`), so tests running
+/// in parallel never share one.
+fn uninterrupted_artifact(spec: &JobSpec, threads: usize, name: &str) -> String {
+    let dir = scratch(&format!("clean-{name}-{threads}"));
     let report = run_job(&dir, spec, threads, &JobControl::new()).unwrap();
     assert_eq!(report.status, JobStatus::Complete);
     let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
@@ -76,14 +78,14 @@ fn kill_after_chunk_one_resumes_byte_identically_at_another_thread_count() {
     assert_eq!(second.completed_chunks, spec.chunks);
     let resumed = std::fs::read_to_string(second.artifact.unwrap()).unwrap();
 
-    assert_eq!(resumed, uninterrupted_artifact(&spec, 2));
+    assert_eq!(resumed, uninterrupted_artifact(&spec, 2, "kill-resume"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn every_kill_point_resumes_to_the_same_artifact() {
     let spec = e4_spec();
-    let reference = uninterrupted_artifact(&spec, 1);
+    let reference = uninterrupted_artifact(&spec, 1, "kill-at");
     for kill_after in [0, 2, 5] {
         let dir = scratch(&format!("kill-at-{kill_after}"));
         let first = run_job(&dir, &spec, 2, &stop_after(kill_after)).unwrap();
@@ -130,7 +132,7 @@ fn flipped_byte_checkpoint_falls_back_to_the_previous_valid_one() {
         report.fallback_notes
     );
     let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-    assert_eq!(resumed, uninterrupted_artifact(&spec, 1));
+    assert_eq!(resumed, uninterrupted_artifact(&spec, 1, "flip"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -152,7 +154,7 @@ fn truncated_checkpoint_falls_back_to_the_previous_valid_one() {
         report.fallback_notes
     );
     let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-    assert_eq!(resumed, uninterrupted_artifact(&spec, 1));
+    assert_eq!(resumed, uninterrupted_artifact(&spec, 1, "truncate"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -180,7 +182,7 @@ fn stale_version_checkpoint_falls_back_to_the_previous_valid_one() {
         report.fallback_notes
     );
     let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-    assert_eq!(resumed, uninterrupted_artifact(&spec, 1));
+    assert_eq!(resumed, uninterrupted_artifact(&spec, 1, "stale"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -205,7 +207,7 @@ fn kill_between_write_and_rename_is_invisible_to_resume() {
         report.fallback_notes
     );
     let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-    assert_eq!(resumed, uninterrupted_artifact(&spec, 1));
+    assert_eq!(resumed, uninterrupted_artifact(&spec, 1, "tmpfile"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -219,7 +221,7 @@ fn all_checkpoints_destroyed_restarts_from_scratch() {
     let report = resume_job(&dir, 2, &JobControl::new()).unwrap();
     assert_eq!(report.status, JobStatus::Complete);
     let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-    assert_eq!(resumed, uninterrupted_artifact(&spec, 1));
+    assert_eq!(resumed, uninterrupted_artifact(&spec, 1, "wipe"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

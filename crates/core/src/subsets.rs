@@ -121,9 +121,8 @@ pub fn indist_subset_range(
     }
     let all = build_all_run(alg, n, toss.clone(), cfg)?;
     let records = sweep
-        .run_indexed_range_with_scratch(
-            trials.start,
-            trials.len(),
+        .run_range(
+            trials,
             || Executor::new(alg, n, toss.clone(), cfg.executor),
             |exec, trial| subset_trial(exec, alg, &all, cfg, check_claims, trial.index),
         )

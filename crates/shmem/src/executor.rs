@@ -177,7 +177,7 @@ impl Executor {
 
     /// Resets the executor in place for a fresh run of `alg` — the
     /// reusable per-worker trial context of scratch sweeps
-    /// ([`Sweep::run_with_scratch`](crate::Sweep::run_with_scratch)):
+    /// ([`Sweep::run_range`](crate::Sweep::run_range)):
     /// programs are re-spawned, the shared memory is cleared back to its
     /// initial values, and the run, counters, and fault state restart
     /// from empty, reusing buffer allocations instead of building a new
@@ -448,9 +448,9 @@ impl Executor {
 
     /// Counts one toss/shared-op event against the budget; reports (and
     /// stickies) [`RunError::BudgetExhausted`] when the budget fires.
-    /// Also polls the ambient per-trial wall-clock deadline (armed by
-    /// [`Sweep`](crate::Sweep) timeouts) every 512 events, so a hung
-    /// trial panics into a structured
+    /// Also polls the running sweep trial's cancel token and wall-clock
+    /// deadline (armed by [`Sweep`](crate::Sweep)) every 512 events, so a
+    /// cancelled or hung trial panics into a structured
     /// [`TrialFailure`](crate::TrialFailure) instead of stalling its
     /// sweep.
     fn guard_events(&mut self) -> Result<(), RunError> {

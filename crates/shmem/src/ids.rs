@@ -465,7 +465,7 @@ mod tests {
     fn proc_mask_symmetric_difference_is_canonical() {
         let a: ProcMask = [1usize, 3, 200].into_iter().map(ProcessId).collect();
         let b: ProcMask = [3usize, 4, 200].into_iter().map(ProcessId).collect();
-        let mut d = a.clone();
+        let mut d = a;
         d.symmetric_difference_with(&b);
         let expect: ProcMask = [1usize, 4].into_iter().map(ProcessId).collect();
         // The spill block cancels out and is trimmed, so equality holds.

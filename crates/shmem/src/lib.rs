@@ -35,8 +35,8 @@
 //! semantics of real hardware — are injected deterministically by a seeded
 //! [`FaultPlan`] ([`Executor::set_fault_plan`]), and the [`Sweep`] trial
 //! engine isolates per-trial panics into [`TrialFailure`] rows
-//! ([`Sweep::run_fallible`]), with optional deterministic retries and
-//! per-trial wall-clock deadlines.
+//! ([`Sweep::run_fallible`]), with optional deterministic retries,
+//! per-trial wall-clock deadlines, and a per-sweep cancel token.
 //!
 //! ## Example
 //!

@@ -7,9 +7,11 @@
 //! * a [`Trial`] is one unit of work, identified by its index in the sweep
 //!   and carrying a seed derived purely from `(sweep seed, index)`;
 //! * a [`Sweep`] describes how to run a batch of trials: with how many
-//!   worker threads and under which sweep seed;
-//! * [`Sweep::run`] fans trials out over `std::thread::scope` workers and
-//!   merges the results **in trial-index order**.
+//!   worker threads, under which sweep seed, retry budget and per-trial
+//!   deadline, and with which cancel token;
+//! * [`Sweep::run`], [`Sweep::run_fallible`] and [`Sweep::run_range`] fan
+//!   trials out over `std::thread::scope` workers — one worker loop
+//!   behind all three — and merge the results **in trial-index order**.
 //!
 //! Because each trial's output depends only on its item and its derived
 //! seed, and because the merge order is the index order, the produced
@@ -27,40 +29,13 @@
 //! ```
 
 use crate::rng::{retry_seed, trial_seed};
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Process-wide cooperative abort for in-flight sweeps.
-///
-/// The resumable job runner's chunk watchdog and signal handler both need
-/// a way to stop a sweep that is already running: set this flag and every
-/// trial that polls [`check_trial_deadline`] (the executor's event guard
-/// does, every 512 events) panics into its failure path at the next poll.
-/// The flag is process-global — one job per process is the supported
-/// shape — and must be cleared (see [`clear_sweep_abort`]) before the
-/// next sweep runs.
-static SWEEP_ABORT: AtomicBool = AtomicBool::new(false);
-
-/// Requests that every in-flight sweep trial abandon work at its next
-/// deadline poll. Async-signal-safe (a single atomic store), so signal
-/// handlers may call it directly.
-pub fn request_sweep_abort() {
-    SWEEP_ABORT.store(true, Ordering::SeqCst);
-}
-
-/// Clears a previously requested sweep abort.
-pub fn clear_sweep_abort() {
-    SWEEP_ABORT.store(false, Ordering::SeqCst);
-}
-
-/// Whether a sweep abort is currently requested.
-pub fn sweep_abort_requested() -> bool {
-    SWEEP_ABORT.load(Ordering::SeqCst)
-}
 
 /// One unit of work within a sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,7 +70,8 @@ pub struct TrialFailure {
     /// Experiment-provided reproduction context (for example the trial's
     /// fault/crash plan summary); empty when the sweep attached none.
     pub context: String,
-    /// Total attempts made (1 = no retries configured or needed).
+    /// Total attempts made (1 = no retries configured or needed; 0 = the
+    /// sweep was cancelled before the trial started).
     pub attempts: u32,
     /// A serialized [`crate::repro::ReproCase`] for the failing run, when
     /// the experiment attached one (the sweep engine itself cannot build
@@ -124,6 +100,10 @@ impl fmt::Display for TrialFailure {
     }
 }
 
+/// One trial's result inside the engine. The failure is boxed so a result
+/// slot costs no more than the trial's output.
+type Outcome<T> = Result<T, Box<TrialFailure>>;
+
 /// Stringifies a panic payload (the `Box<dyn Any>` from `catch_unwind`).
 fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -135,50 +115,71 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-thread_local! {
-    /// The wall-clock deadline of the trial currently running on this
-    /// worker thread, if its sweep configured one.
-    static TRIAL_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+/// What the trial attempt currently running on a worker thread polls:
+/// its wall-clock deadline and its sweep's cancel token.
+#[derive(Default)]
+struct Armed {
+    deadline: Option<Instant>,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
-/// Polls the ambient per-trial deadline; called from long-running loops
-/// inside a trial (the executor's event guard does). Panics — into the
-/// trial's [`TrialFailure`] — when the deadline has passed. A no-op on
-/// threads with no armed deadline, so code under test or outside sweeps
-/// is unaffected.
+thread_local! {
+    /// The armed state of the trial attempt running on this thread; empty
+    /// outside sweeps.
+    static ARMED: RefCell<Armed> = const {
+        RefCell::new(Armed {
+            deadline: None,
+            cancel: None,
+        })
+    };
+}
+
+/// Polls the running trial's cancel token and deadline; called from
+/// long-running loops inside a trial (the executor's event guard does,
+/// every 512 events). Panics — into the trial's [`TrialFailure`] — when
+/// the token is raised or the deadline has passed. A no-op on threads
+/// with nothing armed, so code under test or outside sweeps is
+/// unaffected.
 pub(crate) fn check_trial_deadline(events: u64) {
-    if sweep_abort_requested() {
-        panic!("sweep abort requested after {events} recorded events");
+    let (cancelled, expired) = ARMED.with_borrow(|a| {
+        (
+            a.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)),
+            a.deadline.is_some_and(|t| Instant::now() >= t),
+        )
+    });
+    if cancelled {
+        panic!("sweep cancelled after {events} recorded events");
     }
-    let expired = TRIAL_DEADLINE.with(|d| d.get().is_some_and(|t| Instant::now() >= t));
     if expired {
         panic!("trial wall-clock deadline exceeded after {events} recorded events");
     }
 }
 
-/// Arms the calling thread's trial deadline for one attempt; the guard
-/// restores the previous state on drop, *including* across the unwind of
-/// a timed-out (panicking) trial.
-struct DeadlineGuard {
-    prev: Option<Instant>,
+/// Arms the calling thread for one trial attempt; restores the previous
+/// state on drop, *including* across the unwind of a cancelled or
+/// timed-out (panicking) attempt.
+struct ArmedGuard(Armed);
+
+impl ArmedGuard {
+    fn arm(sweep: &Sweep) -> ArmedGuard {
+        let armed = Armed {
+            deadline: sweep.trial_timeout.map(|t| Instant::now() + t),
+            cancel: sweep.cancel.clone(),
+        };
+        ArmedGuard(ARMED.replace(armed))
+    }
 }
 
-fn arm_deadline(timeout: Option<Duration>) -> DeadlineGuard {
-    let prev = TRIAL_DEADLINE.with(Cell::get);
-    TRIAL_DEADLINE.with(|d| d.set(timeout.map(|t| Instant::now() + t)));
-    DeadlineGuard { prev }
-}
-
-impl Drop for DeadlineGuard {
+impl Drop for ArmedGuard {
     fn drop(&mut self) {
-        let prev = self.prev;
-        TRIAL_DEADLINE.with(|d| d.set(prev));
+        ARMED.set(std::mem::take(&mut self.0));
     }
 }
 
 /// A batch of independent deterministic trials: thread count, sweep seed,
-/// retry budget, and optional per-trial wall-clock deadline.
-#[derive(Clone, Copy, Debug)]
+/// retry budget, optional per-trial wall-clock deadline, and optional
+/// cancel token.
+#[derive(Clone, Debug)]
 pub struct Sweep {
     /// Worker threads to fan trials out over (clamped to at least 1).
     pub threads: usize,
@@ -194,6 +195,12 @@ pub struct Sweep {
     /// trials that finish in time are untouched, so passing artifacts
     /// stay byte-identical.
     pub trial_timeout: Option<Duration>,
+    /// Cooperative cancellation for this sweep alone; `None` (the
+    /// default) makes it uncancellable. Once the token is raised, running
+    /// trials panic at their next executor poll (like a timeout), and
+    /// unstarted trials and retries fail without running. Other sweeps —
+    /// on other threads, in the same process — are unaffected.
+    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Default for Sweep {
@@ -210,6 +217,7 @@ impl Sweep {
             seed: 0,
             retries: 0,
             trial_timeout: None,
+            cancel: None,
         }
     }
 
@@ -240,6 +248,12 @@ impl Sweep {
         self
     }
 
+    /// Sets the cancel token (builder style); see [`Sweep::cancel`].
+    pub fn with_cancel(mut self, token: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(token);
+        self
+    }
+
     /// Runs `f` once per item and returns the outputs in item order.
     ///
     /// Work distribution is dynamic (an atomic cursor; busy trials do not
@@ -251,54 +265,38 @@ impl Sweep {
     /// # Panics
     ///
     /// Re-raises the first (lowest-index) panic any trial recorded — but
-    /// only after every other trial has run to completion, via
-    /// [`Sweep::run_fallible`]: one diverging seed no longer takes the
-    /// rest of the sweep down with it.
+    /// only after every other trial has run to completion: one diverging
+    /// seed does not take the rest of the sweep down with it.
+    /// [`Sweep::run_fallible`] returns the failures instead.
     pub fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
         F: Fn(Trial, &I) -> T + Sync,
     {
-        self.run_fallible(items, f)
-            .into_iter()
-            .map(|r| match r {
-                Ok(out) => out,
-                Err(failure) => panic!("{failure}"),
-            })
-            .collect()
+        self.run_range(0..items.len(), || (), |(), t| f(t, &items[t.index]))
     }
 
     /// Runs `f` once per item, isolating panics: the result vector is in
     /// item order, with each panicking trial recorded as a
-    /// [`TrialFailure`] (index, seed, stringified payload) while every
-    /// other trial still completes and returns `Ok`.
+    /// [`TrialFailure`] while every other trial still completes and
+    /// returns `Ok`. `context(trial, item)` is evaluated for each
+    /// *failing* trial and recorded in its [`TrialFailure::context`]
+    /// (experiments put their fault/crash plan summaries there, making any
+    /// failure row in a JSON artifact reproducible on its own).
     ///
-    /// Each trial closure runs under [`std::panic::catch_unwind`], and
-    /// results are merged through per-slot locks with poison recovery, so
-    /// neither the unwind nor the merge can cascade one bad seed into the
-    /// loss of the whole sweep. As with [`Sweep::run`], `f` must be a pure
+    /// Each attempt runs under [`std::panic::catch_unwind`], and results
+    /// are merged through per-slot locks with poison recovery, so neither
+    /// the unwind nor the merge can cascade one bad seed into the loss of
+    /// the whole sweep. As with [`Sweep::run`], `f` must be a pure
     /// function of `(trial, item)`; that purity is also what makes it
     /// unwind-safe to retry or record.
     ///
     /// A panicking trial is re-run [`Sweep::retries`] times under
     /// deterministic derived seeds before it is reported, and each attempt
-    /// runs under the sweep's [`Sweep::trial_timeout`], if one is set.
-    pub fn run_fallible<I, T, F>(&self, items: &[I], f: F) -> Vec<Result<T, TrialFailure>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(Trial, &I) -> T + Sync,
-    {
-        self.run_fallible_with(items, f, |_, _| String::new())
-    }
-
-    /// [`Sweep::run_fallible`] with a reproduction-context callback:
-    /// `context(trial, item)` is evaluated for each *failing* trial and
-    /// recorded in its [`TrialFailure::context`] (experiments put their
-    /// fault/crash plan summaries there, making any failure row in a JSON
-    /// artifact reproducible on its own).
-    pub fn run_fallible_with<I, T, F, C>(
+    /// runs under the sweep's [`Sweep::trial_timeout`] and
+    /// [`Sweep::cancel`] token, if set.
+    pub fn run_fallible<I, T, F, C>(
         &self,
         items: &[I],
         f: F,
@@ -310,250 +308,177 @@ impl Sweep {
         F: Fn(Trial, &I) -> T + Sync,
         C: Fn(Trial, &I) -> String + Sync,
     {
-        let threads = self.threads.max(1).min(items.len().max(1));
-        let trial = |index: usize| Trial {
-            index,
-            seed: trial_seed(self.seed, index),
-        };
-        let guarded = |t: Trial, item: &I| -> Result<T, TrialFailure> {
-            let attempts = self.retries.saturating_add(1);
-            let mut last_payload = String::new();
-            for attempt in 0..attempts {
-                let attempt_trial = Trial {
-                    index: t.index,
-                    seed: retry_seed(t.seed, attempt),
-                };
-                let _deadline = arm_deadline(self.trial_timeout);
-                match catch_unwind(AssertUnwindSafe(|| f(attempt_trial, item))) {
-                    Ok(out) => return Ok(out),
-                    Err(payload) => last_payload = payload_string(payload),
-                }
-            }
-            Err(TrialFailure {
-                index: t.index,
-                seed: t.seed,
-                derived_seed: retry_seed(t.seed, attempts - 1),
-                payload: last_payload,
-                context: context(t, item),
-                attempts,
-                repro: None,
-            })
-        };
-        if threads <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| guarded(trial(i), item))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        // One slot per trial, so a worker's lock scope covers exactly its
-        // own slot: the old single-Mutex merge let any panicking trial
-        // poison the shared vector and cascade into every other trial's
-        // result. Results are computed before locking, and the merge
-        // recovers from a poisoned slot regardless.
-        let slots: Vec<Mutex<Option<Result<T, TrialFailure>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let out = guarded(trial(i), item);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every trial index was claimed exactly once")
-            })
-            .collect()
+        self.run_core(
+            0..items.len(),
+            || (),
+            |(), t| f(t, &items[t.index]),
+            |t| context(t, &items[t.index]),
+        )
+        .map(|r| r.map_err(|failure| *failure))
+        .collect()
     }
 
-    /// Runs `f` once per item with a **per-worker scratch**: each worker
-    /// thread builds one scratch value via `init` and reuses it across
-    /// every trial it claims — a reusable executor, memory buffers, or
-    /// any other trial context that would otherwise be reallocated per
-    /// trial. Results are merged in item order, exactly as in
-    /// [`Sweep::run`].
+    /// Runs `f` once per trial index in `range`, each worker reusing one
+    /// `init()`-built **scratch** across the trials it claims — a
+    /// reusable executor, memory buffers, or any other trial context that
+    /// would otherwise be reallocated per trial. Outputs come back in
+    /// index order.
     ///
-    /// Trial seeds are derived precisely as in [`Sweep::run`]
-    /// (`trial_seed(sweep seed, index)`), so moving a sweep between the
-    /// two entry points cannot change any artifact. The determinism
-    /// contract extends to the scratch: `f`'s *output* must remain a pure
-    /// function of `(trial, item)` — the scratch may carry allocation
-    /// capacity between trials, but no trial-visible state (reset it at
-    /// the top of `f`, e.g. [`Executor::reset`](crate::Executor::reset)).
+    /// Trial identity (index *and* derived seed) comes from the global
+    /// index, exactly as in [`Sweep::run`]: executing `0..total` as a
+    /// sequence of ranges — across separate calls, thread counts, or
+    /// process lifetimes — yields the outputs of one sweep over
+    /// `0..total`, sliced. This is the chunking hook the resumable job
+    /// layer is built on.
     ///
-    /// The scratch never crosses threads (each worker builds, uses, and
-    /// drops its own), so `S` needs neither `Send` nor `Sync`.
+    /// The determinism contract extends to the scratch: `f`'s *output*
+    /// must remain a pure function of the trial — the scratch may carry
+    /// allocation capacity between trials, but no trial-visible state
+    /// (reset it at the top of `f`, e.g.
+    /// [`Executor::reset`](crate::Executor::reset)). After a panicking
+    /// attempt the worker discards its scratch and builds a fresh one, so
+    /// a retry never sees the state the unwind left behind. The scratch
+    /// never crosses threads, so `S` needs neither `Send` nor `Sync`.
     ///
     /// # Panics
     ///
-    /// A panicking trial propagates out of the sweep. There is
-    /// deliberately no scratch-aware fallible variant: after an unwind
-    /// the scratch state is suspect, so retry-with-reuse would be a
-    /// false promise — use [`Sweep::run_fallible`] when isolation
-    /// matters more than reuse. The sweep's [`Sweep::trial_timeout`]
-    /// *does* apply here, exactly as in the fallible paths: a hung trial
-    /// panics (and propagates) rather than hanging the sweep forever.
-    pub fn run_with_scratch<I, T, S, Init, F>(&self, items: &[I], init: Init, f: F) -> Vec<T>
+    /// As [`Sweep::run`]: re-raises the lowest-index [`TrialFailure`]
+    /// after every other trial has run.
+    pub fn run_range<T, S, Init, F>(&self, range: Range<usize>, init: Init, f: F) -> Vec<T>
     where
-        I: Sync,
         T: Send,
         Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial, &I) -> T + Sync,
+        F: Fn(&mut S, Trial) -> T + Sync,
     {
-        self.run_with_scratch_at(0, items, init, f)
+        unwrap_all(self.run_core(range, init, f, |_| String::new()))
     }
 
-    /// [`Sweep::run_with_scratch`] with a **trial-index offset**: item `i`
-    /// runs as global trial `offset + i`, with its seed derived from that
-    /// global index (`trial_seed(sweep seed, offset + i)`).
-    ///
-    /// This is the chunking hook the resumable job layer is built on: a
-    /// sweep partitioned into contiguous chunks and executed chunk by
-    /// chunk — in any order, at any thread count, interleaved with process
-    /// restarts — produces exactly the per-trial outputs of one
-    /// uninterrupted sweep over the full index space, because nothing but
-    /// the global index feeds a trial's identity.
-    fn run_with_scratch_at<I, T, S, Init, F>(
+    /// The one worker loop behind every entry point: workers claim trial
+    /// indices of `range` from an atomic cursor, run each through
+    /// [`Sweep::run_trial`] on their own scratch, and store the result in
+    /// the trial's slot. With one thread the loop runs on the caller's
+    /// thread; an empty range builds no scratch. Results are yielded
+    /// straight out of the slots, so a sweep holds no second copy of them.
+    fn run_core<T, S, Init, F, C>(
         &self,
-        offset: usize,
-        items: &[I],
+        range: Range<usize>,
         init: Init,
         f: F,
-    ) -> Vec<T>
+        context: C,
+    ) -> impl Iterator<Item = Outcome<T>>
     where
-        I: Sync,
         T: Send,
         Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial, &I) -> T + Sync,
+        F: Fn(&mut S, Trial) -> T + Sync,
+        C: Fn(Trial) -> String + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.max(1).min(items.len());
-        let trial = |index: usize| Trial {
-            index: offset + index,
-            seed: trial_seed(self.seed, offset + index),
-        };
-        if threads <= 1 {
-            let mut scratch = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let _deadline = arm_deadline(self.trial_timeout);
-                    f(&mut scratch, trial(i), item)
-                })
-                .collect();
-        }
         let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        let _deadline = arm_deadline(self.trial_timeout);
-                        let out = f(&mut scratch, trial(i), item);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                    }
-                });
+        // One slot per trial, so a worker's lock scope covers exactly its
+        // own slot: a panicking trial cannot poison any other trial's
+        // result. Results are computed before locking, and the merge
+        // recovers from a poisoned slot regardless.
+        let slots: Vec<Mutex<Option<Outcome<T>>>> =
+            range.clone().map(|_| Mutex::new(None)).collect();
+        let worker = || {
+            let mut scratch = init();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let index = range.start + i;
+                let trial = Trial {
+                    index,
+                    seed: trial_seed(self.seed, index),
+                };
+                let out = self.run_trial(&mut scratch, &init, &f, &context, trial);
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every trial index was claimed exactly once")
-            })
-            .collect()
+        };
+        match self.threads.max(1).min(slots.len()) {
+            0 => {}
+            1 => worker(),
+            threads => std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(worker);
+                }
+            }),
+        }
+        slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every trial index was claimed exactly once")
+        })
     }
 
-    /// [`Sweep::run_indexed`] with a per-worker scratch: runs `f` once per
-    /// index in `0..count`, each worker reusing one `init()`-built scratch
-    /// across its trials. See [`Sweep::run_with_scratch`] for the
-    /// determinism contract.
-    pub fn run_indexed_with_scratch<T, S, Init, F>(&self, count: usize, init: Init, f: F) -> Vec<T>
-    where
-        T: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial) -> T + Sync,
-    {
-        self.run_indexed_range_with_scratch(0, count, init, f)
-    }
-
-    /// Runs `f` once per index in `offset..offset + count`, each worker
-    /// reusing one `init()`-built scratch across its trials. Trial
-    /// identity (index *and* derived seed) comes from the global index,
-    /// so executing a sweep's index space as a sequence of ranges —
-    /// across separate calls, thread counts, or process lifetimes —
-    /// yields exactly the outputs of [`Sweep::run_indexed_with_scratch`]
-    /// over `0..total`, sliced. See [`Sweep::run_with_scratch`] for the
-    /// determinism contract.
-    pub fn run_indexed_range_with_scratch<T, S, Init, F>(
+    /// Runs one trial's attempts: each under `catch_unwind` and the armed
+    /// deadline and cancel token, retrying under derived seeds. A panic
+    /// rebuilds the scratch; a raised token stops further attempts.
+    fn run_trial<T, S>(
         &self,
-        offset: usize,
-        count: usize,
-        init: Init,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial) -> T + Sync,
-    {
-        let indices: Vec<usize> = (offset..offset + count).collect();
-        self.run_with_scratch_at(offset, &indices, init, |scratch, t, _| f(scratch, t))
+        scratch: &mut S,
+        init: &impl Fn() -> S,
+        f: &impl Fn(&mut S, Trial) -> T,
+        context: &impl Fn(Trial) -> String,
+        trial: Trial,
+    ) -> Outcome<T> {
+        let mut payload = None;
+        let budget = self.retries.saturating_add(1);
+        let mut attempts = 0;
+        while attempts < budget && !self.cancelled() {
+            let attempt = Trial {
+                index: trial.index,
+                seed: retry_seed(trial.seed, attempts),
+            };
+            attempts += 1;
+            let _armed = ArmedGuard::arm(self);
+            match catch_unwind(AssertUnwindSafe(|| f(scratch, attempt))) {
+                Ok(out) => return Ok(out),
+                Err(p) => {
+                    payload = Some(payload_string(p));
+                    *scratch = init();
+                }
+            }
+        }
+        Err(Box::new(TrialFailure {
+            index: trial.index,
+            seed: trial.seed,
+            derived_seed: retry_seed(trial.seed, attempts.saturating_sub(1)),
+            payload: payload.unwrap_or_else(|| "sweep cancelled before the trial started".into()),
+            context: context(trial),
+            attempts,
+            repro: None,
+        }))
     }
 
-    /// The fallible counterpart of [`Sweep::run_indexed`]: runs `f` once
-    /// per index in `0..count` with panic isolation.
-    pub fn run_indexed_fallible<T, F>(&self, count: usize, f: F) -> Vec<Result<T, TrialFailure>>
-    where
-        T: Send,
-        F: Fn(Trial) -> T + Sync,
-    {
-        let indices: Vec<usize> = (0..count).collect();
-        self.run_fallible(&indices, |t, _| f(t))
-    }
-
-    /// Runs `f` once per index in `0..count` (a sweep whose items are just
-    /// their indices — seed sweeps, subset enumerations).
-    pub fn run_indexed<T, F>(&self, count: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Trial) -> T + Sync,
-    {
-        let indices: Vec<usize> = (0..count).collect();
-        self.run(&indices, |t, _| f(t))
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 }
 
-/// Parses a `--threads N` override commonly shared by the experiment
-/// binaries; returns 1 (sequential, the deterministic baseline) when the
-/// value is absent.
-pub fn threads_or_default(explicit: Option<usize>) -> usize {
-    explicit.unwrap_or(1).max(1)
+/// The infallible entry points' view of a sweep: every output, or a panic
+/// carrying the first (lowest-index) failure.
+fn unwrap_all<T>(results: impl Iterator<Item = Outcome<T>>) -> Vec<T> {
+    results
+        .map(|r| r.unwrap_or_else(|failure| panic!("{failure}")))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Tests that exercise the ambient deadline/abort machinery hold this
-    /// lock: the abort flag is process-global, so a concurrently running
-    /// deadline test could otherwise observe another test's abort.
-    static AMBIENT_STATE: Mutex<()> = Mutex::new(());
+    /// Spins like a hung executor: polls the armed trial state every 512
+    /// "events" until a poll panics.
+    fn hang() -> ! {
+        let mut events = 0u64;
+        loop {
+            events += 1;
+            if events.is_multiple_of(512) {
+                check_trial_deadline(events);
+            }
+        }
+    }
 
     #[test]
     fn results_are_in_index_order() {
@@ -585,15 +510,30 @@ mod tests {
     }
 
     #[test]
-    fn empty_item_list_is_fine() {
+    fn empty_sweeps_are_fine() {
         let out = Sweep::with_threads(4).run(&Vec::<u64>::new(), |_, &x| x);
         assert!(out.is_empty());
+        let empty = Sweep::with_threads(3).run_range(
+            5..5,
+            || panic!("an empty range builds no scratch"),
+            |(), t| t.index,
+        );
+        assert!(empty.is_empty());
     }
 
     #[test]
-    fn run_indexed_counts_up() {
-        let out = Sweep::with_threads(3).run_indexed(7, |t| t.index);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 6]);
+    fn indexed_sweeps_count_up_in_order() {
+        for threads in [1, 3] {
+            let sweep = Sweep::with_threads(threads);
+            let out = sweep.run_range(0..9, || (), |(), t| t.index * 2);
+            assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
+            let indices: Vec<usize> = (0..5).collect();
+            let fallible = sweep.run_fallible(&indices, |t, _| t.index * 2, |_, _| String::new());
+            assert_eq!(
+                fallible.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
+                vec![0, 2, 4, 6, 8]
+            );
+        }
     }
 
     #[test]
@@ -605,18 +545,20 @@ mod tests {
 
     #[test]
     fn panicking_trial_leaves_other_results_intact() {
-        // Trial 3 panics; with the old single-Mutex merge the poisoned
-        // lock cascaded into losing the whole multi-thread sweep. Now the
-        // other 16 trials' results all survive, and the failure row
-        // carries the trial's identity and payload.
+        // Trial 3 panics; the other 16 trials' results all survive, and
+        // the failure row carries the trial's identity and payload.
         let items: Vec<usize> = (0..17).collect();
         for threads in [1, 4] {
-            let out = Sweep::with_threads(threads).run_fallible(&items, |t, &x| {
-                if x == 3 {
-                    panic!("deliberate failure in trial {}", t.index);
-                }
-                x * 10
-            });
+            let out = Sweep::with_threads(threads).run_fallible(
+                &items,
+                |t, &x| {
+                    if x == 3 {
+                        panic!("deliberate failure in trial {}", t.index);
+                    }
+                    x * 10
+                },
+                |_, _| String::new(),
+            );
             assert_eq!(out.len(), 17);
             for (i, r) in out.iter().enumerate() {
                 if i == 3 {
@@ -641,46 +583,45 @@ mod tests {
             }
             t.seed ^ x
         };
-        let base = Sweep::sequential().run_fallible(&items, f);
+        let ctx = |t: Trial, x: &u64| format!("x={x} index={}", t.index);
+        let base = Sweep::sequential().run_fallible(&items, f, ctx);
         for threads in [2, 8] {
-            assert_eq!(Sweep::with_threads(threads).run_fallible(&items, f), base);
+            assert_eq!(
+                Sweep::with_threads(threads).run_fallible(&items, f, ctx),
+                base
+            );
         }
     }
 
     #[test]
-    fn run_repanics_with_the_first_failure_after_completion() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let completed = AtomicUsize::new(0);
+    fn infallible_entry_points_repanic_with_the_first_failure_after_completion() {
         let items: Vec<usize> = (0..10).collect();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Sweep::with_threads(2).run(&items, |_, &x| {
-                if x == 5 {
-                    panic!("boom");
+        for scratch in [false, true] {
+            let completed = AtomicUsize::new(0);
+            let f = |x: usize| {
+                if x == 5 || x == 7 {
+                    panic!("boom {x}");
                 }
                 completed.fetch_add(1, Ordering::Relaxed);
                 x
-            })
-        }));
-        let err = result.unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("re-panic carries the formatted TrialFailure");
-        assert!(msg.contains("trial 5"), "{msg}");
-        assert!(msg.contains("boom"), "{msg}");
-        assert_eq!(
-            completed.load(Ordering::Relaxed),
-            9,
-            "all other trials completed before the re-panic"
-        );
-    }
-
-    #[test]
-    fn run_indexed_fallible_matches_indexed() {
-        let ok = Sweep::with_threads(3).run_indexed_fallible(5, |t| t.index * 2);
-        assert_eq!(
-            ok.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
-            vec![0, 2, 4, 6, 8]
-        );
+            };
+            let sweep = Sweep::with_threads(2);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if scratch {
+                    sweep.run_range(0..10, || (), |(), t| f(t.index))
+                } else {
+                    sweep.run(&items, |_, &x| f(x))
+                }
+            }));
+            let msg = payload_string(result.unwrap_err());
+            assert!(msg.contains("trial 5"), "scratch={scratch}: {msg}");
+            assert!(msg.contains("boom 5"), "scratch={scratch}: {msg}");
+            assert_eq!(
+                completed.load(Ordering::Relaxed),
+                8,
+                "scratch={scratch}: all other trials completed before the re-panic"
+            );
+        }
     }
 
     #[test]
@@ -692,12 +633,12 @@ mod tests {
             .seeded(9)
             .run(&items, |t, &x| t.seed ^ x);
         for threads in [1, 2, 8] {
-            let scratched = Sweep::with_threads(threads).seeded(9).run_with_scratch(
-                &items,
+            let scratched = Sweep::with_threads(threads).seeded(9).run_range(
+                0..items.len(),
                 Vec::<u64>::new,
-                |scratch, t, &x| {
+                |scratch, t| {
                     scratch.clear(); // reset: no trial-visible state survives
-                    scratch.push(t.seed ^ x);
+                    scratch.push(t.seed ^ items[t.index]);
                     scratch[0]
                 },
             );
@@ -708,19 +649,18 @@ mod tests {
     #[test]
     fn scratch_is_built_once_per_worker_and_reused() {
         let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        let out = Sweep::with_threads(4).run_with_scratch(
-            &items,
+        let out = Sweep::with_threads(4).run_range(
+            0..64,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize
             },
-            |uses, _, &x| {
+            |uses, t| {
                 *uses += 1;
-                x
+                t.index
             },
         );
-        assert_eq!(out, items);
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
         let built = inits.load(Ordering::Relaxed);
         assert!(
             (1..=4).contains(&built),
@@ -729,18 +669,36 @@ mod tests {
     }
 
     #[test]
-    fn indexed_scratch_counts_up_in_order() {
-        let out = Sweep::with_threads(3).run_indexed_with_scratch(9, || (), |(), t| t.index * 2);
-        assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
-        let empty = Sweep::with_threads(3).run_indexed_with_scratch(0, || (), |(), t| t.index);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn threads_or_default_prefers_explicit() {
-        assert_eq!(threads_or_default(Some(6)), 6);
-        assert_eq!(threads_or_default(Some(0)), 1);
-        assert_eq!(threads_or_default(None), 1);
+    fn a_panic_rebuilds_the_scratch_before_the_retry() {
+        // Trial 3's first attempt leaves its scratch dirty and panics. A
+        // retry on the dirty scratch would return a different value; the
+        // rebuilt one reproduces the scratch-free sweep exactly.
+        let poisoned = crate::rng::trial_seed(0, 3);
+        let items: Vec<usize> = (0..8).collect();
+        for threads in [1, 2] {
+            let sweep = Sweep::with_threads(threads).with_retries(1);
+            let plain: Vec<u64> = sweep
+                .run_fallible(
+                    &items,
+                    |t, _| {
+                        assert!(t.seed != poisoned, "poisoned attempt");
+                        t.seed
+                    },
+                    |_, _| String::new(),
+                )
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            let scratched = sweep.run_range(0..items.len(), Vec::<u64>::new, |dirty, t| {
+                let out = t.seed + dirty.len() as u64;
+                if t.seed == poisoned {
+                    dirty.push(1);
+                    panic!("poisoned attempt");
+                }
+                out
+            });
+            assert_eq!(scratched, plain, "threads={threads}");
+        }
     }
 
     #[test]
@@ -756,13 +714,16 @@ mod tests {
             }
             t.seed
         };
-        let with = Sweep::sequential().with_retries(2).run_fallible(&items, f);
+        let no_context = |_: Trial, _: &usize| String::new();
+        let with = Sweep::sequential()
+            .with_retries(2)
+            .run_fallible(&items, f, no_context);
         assert_eq!(
             with[0],
             Ok(crate::rng::retry_seed(base, 1)),
             "first retry succeeded deterministically"
         );
-        let without = Sweep::sequential().run_fallible(&items, f);
+        let without = Sweep::sequential().run_fallible(&items, f, no_context);
         let failure = without[0].as_ref().unwrap_err();
         assert_eq!(failure.attempts, 1);
         assert_eq!(failure.seed, base, "failure reports the base seed");
@@ -779,11 +740,11 @@ mod tests {
 
     #[test]
     fn exhausted_retries_report_the_last_payload_and_attempt_count() {
-        let out = Sweep::sequential()
-            .with_retries(3)
-            .run_fallible(&[0usize], |t: Trial, _| -> usize {
-                panic!("always bad (seed {:#x})", t.seed)
-            });
+        let out = Sweep::sequential().with_retries(3).run_fallible(
+            &[0usize],
+            |t: Trial, _| -> usize { panic!("always bad (seed {:#x})", t.seed) },
+            |_, _| String::new(),
+        );
         let f = out[0].as_ref().unwrap_err();
         assert_eq!(f.attempts, 4, "1 original + 3 retries");
         let last = crate::rng::retry_seed(f.seed, 3);
@@ -806,7 +767,7 @@ mod tests {
     #[test]
     fn context_callback_is_recorded_on_failures() {
         let items: Vec<usize> = (0..4).collect();
-        let out = Sweep::sequential().run_fallible_with(
+        let out = Sweep::sequential().run_fallible(
             &items,
             |_, &x| {
                 if x == 2 {
@@ -824,25 +785,19 @@ mod tests {
 
     #[test]
     fn trial_timeout_converts_a_hung_trial_into_a_failure() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-        use std::time::Duration;
         let items: Vec<u64> = (0..3).collect();
         let out = Sweep::sequential()
             .with_trial_timeout(Duration::from_millis(10))
-            .run_fallible(&items, |_, &x| {
-                if x == 1 {
-                    // A "hung" trial: spin until the ambient deadline
-                    // fires (checked the way the executor checks it).
-                    let mut events = 0u64;
-                    loop {
-                        events += 1;
-                        if events.is_multiple_of(512) {
-                            check_trial_deadline(events);
-                        }
+            .run_fallible(
+                &items,
+                |_, &x| {
+                    if x == 1 {
+                        hang();
                     }
-                }
-                x
-            });
+                    x
+                },
+                |_, _| String::new(),
+            );
         assert_eq!(out[0], Ok(0));
         assert_eq!(out[2], Ok(2), "later trials run after the timeout");
         let f = out[1].as_ref().unwrap_err();
@@ -855,42 +810,19 @@ mod tests {
 
     #[test]
     fn scratch_sweeps_honor_the_trial_timeout() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-        use std::time::Duration;
-        // The PR 4 scratch paths used to skip deadline arming entirely; a
-        // hung trial now panics out of the sweep at any thread count.
+        // A hung trial of a scratch sweep fails at its deadline, and the
+        // sweep re-panics with that failure at any thread count.
         for threads in [1, 2] {
-            let items: Vec<u64> = (0..2).collect();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 Sweep::with_threads(threads)
                     .with_trial_timeout(Duration::from_millis(10))
-                    .run_with_scratch(
-                        &items,
-                        || (),
-                        |(), _, &x| -> u64 {
-                            if x == 0 {
-                                return 0;
-                            }
-                            let mut events = 0u64;
-                            loop {
-                                events += 1;
-                                if events.is_multiple_of(512) {
-                                    check_trial_deadline(events);
-                                }
-                            }
-                        },
-                    )
+                    .run_range(0..2, || (), |(), t| if t.index == 0 { 0 } else { hang() })
             }));
             let payload = payload_string(result.unwrap_err());
-            if threads == 1 {
-                assert!(
-                    payload.contains("wall-clock deadline exceeded"),
-                    "{payload}"
-                );
-            }
-            // (a worker panic surfaces as the scope's own payload, so only
-            // the sequential path can assert on the message — the unwrap
-            // above already proves the parallel path times out too.)
+            assert!(
+                payload.contains("trial 1") && payload.contains("wall-clock deadline exceeded"),
+                "threads={threads}: {payload}"
+            );
         }
         check_trial_deadline(0); // the guard restored the disarmed state
     }
@@ -900,25 +832,19 @@ mod tests {
         // The chunking contract: any partition of the index space into
         // contiguous ranges, executed in any order at any thread count,
         // reproduces the full sweep's outputs exactly.
-        let full = Sweep::sequential().seeded(42).run_indexed_with_scratch(
-            100,
-            || (),
-            |(), t| (t.index, t.seed),
-        );
+        let full =
+            Sweep::sequential()
+                .seeded(42)
+                .run_range(0..100, || (), |(), t| (t.index, t.seed));
         for threads in [1, 3] {
             let sweep = Sweep::with_threads(threads).seeded(42);
             let mut chunked = Vec::new();
-            for (offset, count) in [(64, 36), (0, 10), (10, 54)] {
-                let part = sweep.run_indexed_range_with_scratch(
-                    offset,
-                    count,
-                    || (),
-                    |(), t| (t.index, t.seed),
-                );
-                assert_eq!(part.len(), count);
-                chunked.push((offset, part));
+            for range in [64..100, 0..10, 10..64] {
+                let part = sweep.run_range(range.clone(), || (), |(), t| (t.index, t.seed));
+                assert_eq!(part.len(), range.len());
+                chunked.push((range.start, part));
             }
-            chunked.sort_by_key(|(offset, _)| *offset);
+            chunked.sort_by_key(|(start, _)| *start);
             let merged: Vec<(usize, u64)> =
                 chunked.into_iter().flat_map(|(_, part)| part).collect();
             assert_eq!(merged, full, "threads={threads}");
@@ -926,29 +852,72 @@ mod tests {
     }
 
     #[test]
-    fn sweep_abort_panics_polling_trials_and_clears() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(!sweep_abort_requested());
-        request_sweep_abort();
-        assert!(sweep_abort_requested());
-        let result = catch_unwind(AssertUnwindSafe(|| check_trial_deadline(7)));
-        let payload = payload_string(result.unwrap_err());
-        assert!(payload.contains("sweep abort requested"), "{payload}");
-        clear_sweep_abort();
-        assert!(!sweep_abort_requested());
-        check_trial_deadline(7); // no abort, no deadline: a no-op again
+    fn cancelling_one_sweep_leaves_a_concurrent_sweep_untouched() {
+        // Two sweeps run side by side on two threads. The barrier holds
+        // the token down until trial 0 of each sweep is in flight; raising
+        // it then fails the first sweep's polling trials, while the second
+        // sweep keeps polling and returns what an uncancelled run returns.
+        let token = Arc::new(AtomicBool::new(false));
+        let cancelled = Sweep::with_threads(2).with_cancel(token.clone());
+        let both_in_flight = std::sync::Barrier::new(3);
+        let items: Vec<u64> = (0..6).collect();
+        let (lost, kept) = std::thread::scope(|scope| {
+            let lost = scope.spawn(|| {
+                let f = |t: Trial, _: &u64| -> u64 {
+                    if t.index == 0 {
+                        both_in_flight.wait();
+                    }
+                    hang()
+                };
+                cancelled.run_fallible(&items, f, |_, _| String::new())
+            });
+            let kept = scope.spawn(|| {
+                Sweep::with_threads(2).run(&items, |t, &x| {
+                    if t.index == 0 {
+                        both_in_flight.wait();
+                        while !token.load(Ordering::Relaxed) {
+                            check_trial_deadline(0);
+                        }
+                    }
+                    for events in 1..=4096 {
+                        check_trial_deadline(events);
+                    }
+                    t.seed ^ x
+                })
+            });
+            both_in_flight.wait();
+            token.store(true, Ordering::Relaxed);
+            (lost.join().unwrap(), kept.join().unwrap())
+        });
+        let payloads: Vec<String> = lost.into_iter().map(|r| r.unwrap_err().payload).collect();
+        assert!(
+            payloads[0].contains("sweep cancelled after"),
+            "{payloads:?}"
+        );
+        assert!(
+            payloads.iter().all(|p| p.contains("sweep cancelled")),
+            "{payloads:?}"
+        );
+        assert_eq!(kept, Sweep::sequential().run(&items, |t, &x| t.seed ^ x));
+        check_trial_deadline(0); // nothing stays armed on this thread
     }
 
     #[test]
-    fn deadline_is_cleared_after_each_trial_even_across_unwind() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-        use std::time::Duration;
-        // A timed sweep whose trial panics must not leave a stale
-        // deadline armed on the worker thread.
+    fn armed_state_is_cleared_after_each_trial_even_across_unwind() {
+        // A timed, cancellable sweep whose trial panics must leave neither
+        // a stale deadline nor its (later raised) token armed on the
+        // worker thread.
+        let token = Arc::new(AtomicBool::new(false));
         let _ = Sweep::sequential()
             .with_trial_timeout(Duration::from_millis(1))
-            .run_fallible(&[0usize], |_, _| -> usize { panic!("bad") });
+            .with_cancel(token.clone())
+            .run_fallible(
+                &[0usize],
+                |_, _| -> usize { panic!("bad") },
+                |_, _| String::new(),
+            );
+        token.store(true, Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(2));
-        check_trial_deadline(0); // must not panic: no deadline armed here
+        check_trial_deadline(0); // must not panic: nothing armed here
     }
 }

@@ -811,10 +811,11 @@ fn cmd_universal(opts: &Opts) -> Result<(), String> {
 }
 
 /// SIGINT/SIGTERM wiring for `llsc job`: the handler (required to be
-/// async-signal-safe, so it only stores two atomics) raises both a local
-/// interrupted flag and the global sweep abort, converting in-flight
-/// trials into prompt panics the job runner classifies as an interrupt
-/// and answers with a final checkpoint flush.
+/// async-signal-safe, so it only stores one atomic) raises a local
+/// interrupted flag. A relay thread forwards it into the job's
+/// [`JobControl`](llsc_lowerbound::bench::job::JobControl) interrupt; the
+/// runner then cancels the in-flight chunk's sweep, classifies the
+/// attempt as interrupted, and flushes a final checkpoint.
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -826,7 +827,6 @@ mod signals {
 
     extern "C" fn on_signal(_sig: i32) {
         INTERRUPTED.store(true, Ordering::SeqCst);
-        llsc_lowerbound::shmem::sweep::request_sweep_abort();
     }
 
     const SIGINT: i32 = 2;
