@@ -8,16 +8,19 @@
 //! artifact recording, per experiment: the id, min/mean wall-clock, and
 //! (for the subset sweeps) simulated executor events per run and per
 //! second. The E4 case also records the heap allocations per
-//! `(S, A)`-run event, counted by this binary's global allocator.
+//! `(S, A)`-run event, and the E6 case the heap allocations per sampled
+//! `(All, A)`-run event, both counted by this binary's global allocator.
 //!
-//! Two deterministic gates make the binary exit nonzero:
+//! Three deterministic gates make the binary exit nonzero:
 //!
 //! * the E4 and E13 `events_per_run` must equal [`E4_EVENTS`] and
 //!   [`E13_EVENTS`] (any drift means the simulated work changed);
 //! * the `(S, A)`-run allocations per event must stay at or below
-//!   [`S_RUN_ALLOCS_PER_EVENT_CEILING`].
+//!   [`S_RUN_ALLOCS_PER_EVENT_CEILING`];
+//! * the sampled `(All, A)`-run allocations per event must stay at or
+//!   below [`SAMPLED_ALL_RUN_ALLOCS_PER_EVENT_CEILING`].
 //!
-//! Both are exact counts, so they hold on noisy shared CI runners where
+//! All are exact counts, so they hold on noisy shared CI runners where
 //! wall-clock is trend-watching only.
 //!
 //! Usage: `bench_smoke [--out PATH] [--samples N] [--label NAME]`
@@ -25,7 +28,7 @@
 //! sweeps throughout, so the numbers are comparable on a 1-core host.
 
 use llsc_bench::harness::measure_case;
-use llsc_core::{build_all_run, build_s_run_with, AdversaryConfig, ProcSet};
+use llsc_core::{build_all_run, build_s_run_with, sample_expectation, AdversaryConfig, ProcSet};
 use llsc_shmem::{Algorithm, Executor, ProcessId, SeededTosses, Sweep, TossAssignment, ZeroTosses};
 use llsc_wakeup::{correct_algorithms, randomized_algorithms};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -39,6 +42,10 @@ const E13_EVENTS: u64 = 6_468;
 /// Ceiling on heap allocations per `(S, A)`-run event over the E4 grid,
 /// set just above the measured 3.392.
 const S_RUN_ALLOCS_PER_EVENT_CEILING: f64 = 3.5;
+/// Ceiling on heap allocations per sampled `(All, A)`-run event (E6 at
+/// `n = 256`), set about 5% above the measured 1.477 (2.657 while samples
+/// recorded events, histories, snapshots and the `UP` history).
+const SAMPLED_ALL_RUN_ALLOCS_PER_EVENT_CEILING: f64 = 1.55;
 
 /// The system allocator plus a counter of allocation calls (`alloc`,
 /// `alloc_zeroed` and `realloc`).
@@ -84,8 +91,9 @@ struct Case {
     /// Total simulated executor events of one run, when the experiment
     /// reports them (the subset sweeps do; E6 rows do not).
     events: Option<u64>,
-    /// Heap allocations per `(S, A)`-run event (E4 only).
-    allocs_per_event: Option<f64>,
+    /// Heap allocations per simulated event of the case's hot path, and
+    /// the JSON key it is written under (E4 and E6 only).
+    allocs_per_event: Option<(&'static str, f64)>,
 }
 
 /// Heap allocations per `(S, A)`-run event over the E4 grid, built the way
@@ -121,6 +129,31 @@ fn s_run_allocs_per_event() -> f64 {
                     exec.recycle_run(srun.base.run);
                 }
             }
+        }
+    }
+    allocs as f64 / events as f64
+}
+
+/// Heap allocations per sampled `(All, A)`-run event: every randomized
+/// algorithm at `n = 256` under E6's configuration, ten seeds each. Only
+/// `sample_expectation` is counted; the events come from an uncounted
+/// build of the same run.
+fn sampled_all_run_allocs_per_event() -> f64 {
+    const N: usize = 256;
+    let cfg = AdversaryConfig {
+        max_rounds: 10_000,
+        ..AdversaryConfig::default()
+    };
+    let (mut allocs, mut events) = (0u64, 0u64);
+    for alg in randomized_algorithms() {
+        let alg = alg.as_ref();
+        for seed in 0..10 {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            sample_expectation(alg, N, seed, &cfg).expect("E6 sample");
+            allocs += ALLOCS.load(Ordering::Relaxed) - before;
+            let all =
+                build_all_run(alg, N, Arc::new(SeededTosses::new(seed)), &cfg).expect("E6 all-run");
+            events += all.base.run.event_count();
         }
     }
     allocs as f64 / events as f64
@@ -170,19 +203,23 @@ fn main() {
         min_ms: min.as_secs_f64() * 1e3,
         mean_ms: mean.as_secs_f64() * 1e3,
         events: Some(e4_events),
-        allocs_per_event: Some(allocs_per_event),
+        allocs_per_event: Some(("s_run_allocs_per_event", allocs_per_event)),
     });
 
+    let sampled_allocs_per_event = sampled_all_run_allocs_per_event();
     let (min, mean) = measure_case(samples, || {
         llsc_bench::e6_randomized_expectation(&[4, 16, 64], 30, &sweep)
     });
-    println!("e6  min {min:>10.3?}  mean {mean:>10.3?}");
+    println!(
+        "e6  min {min:>10.3?}  mean {mean:>10.3?}  \
+         ({sampled_allocs_per_event:.3} sampled all-run allocs/event)"
+    );
     cases.push(Case {
         id: "e6",
         min_ms: min.as_secs_f64() * 1e3,
         mean_ms: mean.as_secs_f64() * 1e3,
         events: None,
-        allocs_per_event: None,
+        allocs_per_event: Some(("sampled_all_run_allocs_per_event", sampled_allocs_per_event)),
     });
 
     let e13 = llsc_bench::e13_appendix_claims(&[4, 6], &sweep);
@@ -215,8 +252,8 @@ fn main() {
                 eps
             ));
         }
-        if let Some(a) = c.allocs_per_event {
-            json.push_str(&format!(",\"s_run_allocs_per_event\":{a:.3}"));
+        if let Some((key, a)) = c.allocs_per_event {
+            json.push_str(&format!(",\"{key}\":{a:.3}"));
         }
         json.push('}');
     }
@@ -235,12 +272,25 @@ fn main() {
             gate_ok = false;
         }
     }
-    if allocs_per_event > S_RUN_ALLOCS_PER_EVENT_CEILING {
-        eprintln!(
-            "allocation gate FAILED: {allocs_per_event:.3} allocations per (S, A)-run event, \
-             ceiling {S_RUN_ALLOCS_PER_EVENT_CEILING}"
-        );
-        gate_ok = false;
+    for (what, measured, ceiling) in [
+        (
+            "(S, A)-run",
+            allocs_per_event,
+            S_RUN_ALLOCS_PER_EVENT_CEILING,
+        ),
+        (
+            "sampled (All, A)-run",
+            sampled_allocs_per_event,
+            SAMPLED_ALL_RUN_ALLOCS_PER_EVENT_CEILING,
+        ),
+    ] {
+        if measured > ceiling {
+            eprintln!(
+                "allocation gate FAILED: {measured:.3} allocations per {what} event, \
+                 ceiling {ceiling}"
+            );
+            gate_ok = false;
+        }
     }
     if !gate_ok {
         std::process::exit(1);

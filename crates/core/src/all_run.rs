@@ -44,9 +44,11 @@ impl Default for AdversaryConfig {
 
 impl AdversaryConfig {
     /// A memory-light configuration: no register snapshots, no event or
-    /// history recording — only counters, verdicts, and the round
-    /// structure. Suitable for complexity sweeps; not for the wakeup or
-    /// indistinguishability checkers.
+    /// history recording — only counters, verdicts, the round structure,
+    /// and the first-step stamps and winners the wakeup checker reads
+    /// (kept in both modes, so [`check_wakeup`](crate::check_wakeup) and
+    /// the Theorem 6.1 measurement work on these runs). Not for the
+    /// indistinguishability checker or `(S, A)`-run construction.
     pub fn lightweight() -> Self {
         AdversaryConfig {
             record_snapshots: false,

@@ -11,12 +11,14 @@
 //! `c · log₄ n`. [`estimate_expected_complexity`] samples toss assignments
 //! (seeded, reproducible), builds the `(All, A)`-run for each, and reports
 //! the empirical termination rate, winner-step statistics, and the implied
-//! Lemma 3.1 bound.
+//! Lemma 3.1 bound. Samples are built as lightweight runs (see
+//! [`sample_expectation`]); the caller's [`AdversaryConfig`] supplies only
+//! the limits.
 
 use crate::all_run::{build_all_run, AdversaryConfig};
 use crate::theorem::{ceil_log4, log4};
 use crate::wakeup::check_wakeup;
-use llsc_shmem::{Algorithm, RunError, SeededTosses, Sweep};
+use llsc_shmem::{Algorithm, ExecutorConfig, RunError, SeededTosses, Sweep};
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,7 +80,8 @@ impl fmt::Display for ExpectationReport {
 /// shared-access complexity of `alg` under the Figure-2 adversary.
 ///
 /// Every seed yields a deterministic [`SeededTosses`] assignment, so the
-/// whole estimate is reproducible.
+/// whole estimate is reproducible. Only `cfg`'s limits are used; see
+/// [`sample_expectation`].
 ///
 /// # Examples
 ///
@@ -123,6 +126,12 @@ pub struct ExpectationSample {
 /// `(alg, n, seed, cfg)`, so samples may be computed in any order — or
 /// any chunking — and reassembled via [`report_from_samples`].
 ///
+/// A sample reads only completion, the wakeup verdict and step counts,
+/// all of which a lightweight run keeps, so the `(All, A)`-run is always
+/// built without event, history, snapshot or `UP`-history recording:
+/// `cfg` supplies only the limits (`max_rounds` and the executor
+/// budgets), and its recording switches are ignored.
+///
 /// # Errors
 ///
 /// Propagates the [`RunError`] the `(All, A)`-run reports.
@@ -132,7 +141,16 @@ pub fn sample_expectation(
     seed: u64,
     cfg: &AdversaryConfig,
 ) -> Result<ExpectationSample, RunError> {
-    let all = build_all_run(alg, n, Arc::new(SeededTosses::new(seed)), cfg)?;
+    let cfg = AdversaryConfig {
+        record_snapshots: false,
+        track_up_history: false,
+        executor: ExecutorConfig {
+            record_details: false,
+            ..cfg.executor
+        },
+        ..*cfg
+    };
+    let all = build_all_run(alg, n, Arc::new(SeededTosses::new(seed)), &cfg)?;
     if !all.base.completed {
         return Ok(ExpectationSample {
             terminated: false,
@@ -341,6 +359,24 @@ mod tests {
         assert_eq!(assembled.mean_max_steps, full.mean_max_steps);
         assert_eq!(assembled.lemma_3_1_bound, full.lemma_3_1_bound);
         assert_eq!(assembled.all_meet_bound, full.all_meet_bound);
+    }
+
+    #[test]
+    fn lightweight_samples_equal_full_detail_ones() {
+        let alg = randomized_counter_wakeup();
+        let cfg = AdversaryConfig::default();
+        for seed in 0..6 {
+            let all = build_all_run(&alg, 8, Arc::new(SeededTosses::new(seed)), &cfg).unwrap();
+            assert!(all.base.run.is_detailed());
+            let check = check_wakeup(&all.base.run);
+            let full = ExpectationSample {
+                terminated: all.base.completed,
+                wakeup_ok: check.ok(),
+                winner_steps: check.first_winner().map(|w| all.base.run.shared_steps(w)),
+                max_steps: Some(all.base.run.max_shared_steps()),
+            };
+            assert_eq!(sample_expectation(&alg, 8, seed, &cfg).unwrap(), full);
+        }
     }
 
     #[test]

@@ -131,6 +131,11 @@ pub fn verify_lower_bound(
 
 /// Like [`verify_lower_bound`], but reuses an already-constructed
 /// `(All, A)`-run (useful when the caller also needs the run itself).
+///
+/// The run may be lightweight: the wakeup verdict and step counts are
+/// kept in both recording modes. A refutation needs the full `UP`
+/// history, so it rebuilds the `(All, A)`-run at full detail when `all`
+/// lacks it or is not detailed.
 pub fn report_from_all_run(
     alg: &dyn Algorithm,
     n: usize,
@@ -138,10 +143,6 @@ pub fn report_from_all_run(
     cfg: &AdversaryConfig,
     all: &AllRun,
 ) -> Result<LowerBoundReport, RunError> {
-    assert!(
-        all.base.run.is_detailed(),
-        "the Theorem 6.1 driver needs a detailed run (events/verdicts);          build the (All, A)-run with record_details = true —          AdversaryConfig::lightweight() is for complexity sweeps only"
-    );
     let wakeup = check_wakeup(&all.base.run);
     let winner = wakeup.first_winner();
     let winner_steps = winner.map(|p| all.base.run.shared_steps(p)).unwrap_or(0);
@@ -164,9 +165,9 @@ pub fn report_from_all_run(
             let size = s.len();
             let refutation = if !bound_holds && s.len() < n {
                 // The refuting (S, A)-run needs the full UP history;
-                // rebuild the (All, A)-run with it if necessary
-                // (refutations only arise for broken algorithms, which are
-                // cheap to re-run).
+                // rebuild the (All, A)-run at full detail if it lacks that
+                // or was recorded lightweight (refutations only arise for
+                // broken algorithms, which are cheap to re-run).
                 let full_cfg = AdversaryConfig {
                     track_up_history: true,
                     record_snapshots: true,
@@ -177,7 +178,7 @@ pub fn report_from_all_run(
                     ..*cfg
                 };
                 let rebuilt;
-                let all_full = if all.up.has_full_history() {
+                let all_full = if all.base.run.is_detailed() && all.up.has_full_history() {
                     all
                 } else {
                     rebuilt = build_all_run(alg, n, toss.clone(), &full_cfg)?;
@@ -186,11 +187,7 @@ pub fn report_from_all_run(
                 let srun = build_s_run(alg, n, toss, &s, all_full, &full_cfg)?;
                 let s_wakeup = check_wakeup(&srun.base.run);
                 let never_step: Vec<ProcessId> = ProcessId::all(n)
-                    .filter(|&p| {
-                        !srun.base.run.events().iter().any(|e| {
-                            e.pid() == p && !matches!(e, llsc_shmem::RunEvent::Terminated { .. })
-                        })
-                    })
+                    .filter(|&p| srun.base.run.first_step_at(p).is_none())
                     .collect();
                 Some(Refutation {
                     s,
@@ -343,18 +340,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "detailed run")]
-    fn lightweight_runs_are_rejected() {
-        // A detail-less run has no events, so the wakeup check would pass
-        // vacuously; the driver must refuse instead.
-        let alg = counter_wakeup();
-        verify_lower_bound(
-            &alg,
-            4,
-            Arc::new(ZeroTosses),
-            &AdversaryConfig::lightweight(),
-        )
-        .unwrap();
+    fn lightweight_runs_report_like_detailed_runs() {
+        // The verdict and step counts are kept in both recording modes;
+        // a refutation rebuilds the run at full detail.
+        let algs: [Box<dyn Algorithm>; 2] =
+            [Box::new(counter_wakeup()), Box::new(premature_wakeup())];
+        for alg in &algs {
+            let run = |cfg: &AdversaryConfig| {
+                verify_lower_bound(alg.as_ref(), 16, Arc::new(ZeroTosses), cfg).unwrap()
+            };
+            let (full, light) = (
+                run(&AdversaryConfig::default()),
+                run(&AdversaryConfig::lightweight()),
+            );
+            assert_eq!(light.to_string(), full.to_string());
+            assert_eq!(light.wakeup.winners, full.wakeup.winners);
+            assert_eq!(light.wakeup.violations, full.wakeup.violations);
+            assert_eq!(light.up_winner_size, full.up_winner_size);
+            let refutation = |r: &LowerBoundReport| {
+                r.refutation.as_ref().map(|f| {
+                    (
+                        f.s.clone(),
+                        f.winner_returns_one_in_s_run,
+                        f.never_step.clone(),
+                        f.violations.clone(),
+                    )
+                })
+            };
+            assert_eq!(refutation(&light), refutation(&full), "{}", alg.name());
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! [`check_wakeup`] validates a recorded [`Run`] against this
 //! specification. A *step* here is a coin toss or a shared-memory
 //! operation, matching the paper's step notion; entering a termination
-//! state by itself does not count.
+//! state by itself does not count. The check reads only what a run keeps
+//! in both recording modes (verdicts, first-step stamps and winners), so
+//! lightweight runs are checked exactly like detailed ones.
 
-use llsc_shmem::{ProcessId, Run, RunEvent, Value};
+use llsc_shmem::{ProcessId, Run, Value};
 use std::fmt;
 
 /// A way a run can violate the wakeup specification.
@@ -115,7 +117,9 @@ impl fmt::Display for WakeupCheck {
 /// Condition 1 is checked as "every *terminated* process returned 0 or 1"
 /// (finite termination itself is an algorithm property witnessed by the run
 /// being terminating). Condition 2 is only applicable to terminating runs.
-/// Condition 3 is checked on any run.
+/// Condition 3 is checked on any run: against the first winner, since the
+/// set of processes that have stepped only grows. `O(n + winners)`, and
+/// the same verdict in either recording mode.
 ///
 /// # Examples
 ///
@@ -149,31 +153,17 @@ pub fn check_wakeup(run: &Run) -> WakeupCheck {
         }
     }
 
-    // Walk events once, tracking who has stepped, to evaluate condition 3
-    // and collect winners in order.
-    let mut stepped = vec![false; n];
-    let mut premature_reported = false;
-    for ev in run.events() {
-        match ev {
-            RunEvent::Toss { pid, .. } | RunEvent::SharedOp { pid, .. } => {
-                stepped[pid.0] = true;
-            }
-            RunEvent::Terminated { pid, value } => {
-                if value.as_int() == Some(1) {
-                    check.winners.push(*pid);
-                    if !premature_reported {
-                        let missing: Vec<ProcessId> =
-                            ProcessId::all(n).filter(|q| !stepped[q.0]).collect();
-                        if !missing.is_empty() {
-                            premature_reported = true;
-                            check.violations.push(WakeupViolation::PrematureWinner {
-                                winner: *pid,
-                                missing,
-                            });
-                        }
-                    }
-                }
-            }
+    // Condition 3: everyone must have stepped before the first winner
+    // terminated — stamped strictly earlier than its termination event.
+    check.winners = run.winners().iter().map(|&(p, _)| p).collect();
+    if let Some(&(winner, at)) = run.winners().first() {
+        let missing: Vec<ProcessId> = ProcessId::all(n)
+            .filter(|&q| run.first_step_at(q).is_none_or(|s| s > at))
+            .collect();
+        if !missing.is_empty() {
+            check
+                .violations
+                .push(WakeupViolation::PrematureWinner { winner, missing });
         }
     }
 
@@ -188,7 +178,7 @@ pub fn check_wakeup(run: &Run) -> WakeupCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llsc_shmem::{Operation, RegisterId, Response};
+    use llsc_shmem::{Operation, RegisterId, Response, RunEvent};
 
     fn step_event(pid: usize) -> RunEvent {
         RunEvent::SharedOp {
@@ -316,6 +306,66 @@ mod tests {
         let check = check_wakeup(&run);
         assert!(check.ok());
         assert_eq!(check.winners.len(), 2);
+    }
+
+    /// Records `events` into a lightweight `n`-process run.
+    fn lightweight(n: usize, events: Vec<RunEvent>) -> Run {
+        let mut run = Run::lightweight(n);
+        for ev in events {
+            run.record(ev);
+        }
+        run
+    }
+
+    #[test]
+    fn lightweight_runs_report_every_violation() {
+        // Condition 1 (and 2, since 7 is not a win).
+        let check = check_wakeup(&lightweight(1, vec![step_event(0), ret(0, 7)]));
+        assert_eq!(
+            check.violations,
+            vec![
+                WakeupViolation::NonBinaryReturn {
+                    p: ProcessId(0),
+                    value: Value::from(7i64),
+                },
+                WakeupViolation::NoWinner,
+            ]
+        );
+        // Condition 2.
+        let check = check_wakeup(&lightweight(
+            2,
+            vec![step_event(0), step_event(1), ret(0, 0), ret(1, 0)],
+        ));
+        assert!(check.terminating);
+        assert_eq!(check.violations, vec![WakeupViolation::NoWinner]);
+        // Condition 3: p2 never steps, p1 only after the winner returned,
+        // and a bare return (p3) is not a step; the second winner is
+        // not reported again.
+        let check = check_wakeup(&lightweight(
+            4,
+            vec![
+                step_event(0),
+                ret(3, 0),
+                ret(0, 1),
+                step_event(1),
+                ret(1, 1),
+            ],
+        ));
+        assert_eq!(check.winners, vec![ProcessId(0), ProcessId(1)]);
+        assert_eq!(
+            check.violations,
+            vec![WakeupViolation::PrematureWinner {
+                winner: ProcessId(0),
+                missing: vec![ProcessId(1), ProcessId(2), ProcessId(3)],
+            }]
+        );
+        // And a valid run passes.
+        let check = check_wakeup(&lightweight(
+            2,
+            vec![step_event(1), step_event(0), ret(1, 1), ret(0, 0)],
+        ));
+        assert!(check.ok(), "{check}");
+        assert_eq!(check.winners, vec![ProcessId(1)]);
     }
 
     #[test]

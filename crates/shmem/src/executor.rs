@@ -27,9 +27,10 @@ pub struct ExecutorConfig {
     /// diverge).
     pub max_local_burst: u64,
     /// Whether the recorded [`Run`] keeps full events and interaction
-    /// histories (`true`, the default) or only counters and verdicts
-    /// (`false` — the lightweight mode for large measurement sweeps; see
-    /// [`Run::lightweight`]).
+    /// histories (`true`, the default) or only counters, verdicts and the
+    /// wakeup verdict's first-step stamps and winners (`false` — the
+    /// lightweight mode for large measurement sweeps; see
+    /// [`Run::lightweight`]). The wakeup verdict is the same either way.
     pub record_details: bool,
 }
 
@@ -44,8 +45,9 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// The configuration the large measurement sweeps use: counters and
-    /// verdicts only (see [`Run::lightweight`]), same safety limits.
+    /// The configuration the large measurement sweeps use: counters,
+    /// verdicts and the wakeup verdict only (see [`Run::lightweight`]),
+    /// same safety limits.
     ///
     /// Runs recorded this way still produce a full
     /// [`OpCounters`](crate::OpCounters) summary via
@@ -1056,25 +1058,33 @@ mod tests {
         while exec.step_round_robin().unwrap() {}
         let first = exec.take_run();
         let expected = first.events().to_vec();
+        let expected_winners = first.winners().to_vec();
+        assert_eq!(expected_winners.len(), 1, "the first installer returns 1");
         exec.recycle_run(first);
         exec.reset(&alg);
         while exec.step_round_robin().unwrap() {}
         // The recycled run becomes the executor's run, emptied.
         let second = exec.take_run();
         assert_eq!(second.events(), &expected[..]);
+        assert_eq!(second.winners(), &expected_winners[..]);
         let recycled = exec.run();
         assert_eq!(recycled.event_count(), 0);
         assert!(recycled.events().is_empty());
+        assert!(recycled.winners().is_empty());
         assert_eq!(recycled.counters(), Run::new(3).counters());
         for p in ProcessId::all(3) {
             assert!(recycled.history(p).is_empty(), "{p} history");
             assert_eq!(recycled.verdict(p), None, "{p} verdict");
+            assert_eq!(recycled.first_step_at(p), None, "{p} first step");
+            assert!(!recycled.has_stepped(p), "{p} stepped");
         }
         // Recycling again and taking without a step hands back an empty run.
         exec.recycle_run(second);
         let empty = exec.take_run();
         assert_eq!(empty.event_count(), 0);
+        assert!(empty.winners().is_empty());
         assert!(ProcessId::all(3).all(|p| empty.history(p).is_empty()));
+        assert!(ProcessId::all(3).all(|p| empty.first_step_at(p).is_none()));
     }
 
     #[test]

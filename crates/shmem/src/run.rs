@@ -95,16 +95,23 @@ pub enum Interaction {
 /// Implements the complexity bookkeeping of Section 3: `t(p_i, R)` — the
 /// number of `p_i`'s shared-memory steps — is [`Run::shared_steps`], and
 /// `t(R) = max_i t(p_i, R)` is [`Run::max_shared_steps`].
+///
+/// Everything the wakeup specification reads is kept in both recording
+/// modes: each process's first-step stamp ([`Run::first_step_at`]) and
+/// the processes that returned 1, in order ([`Run::winners`]).
 #[derive(Clone, Debug)]
 pub struct Run {
     details: bool,
     events: Vec<RunEvent>,
     /// Total events recorded, maintained even in lightweight mode (where
-    /// `events` itself stays empty).
+    /// `events` itself stays empty). Also the index the next event gets.
     event_count: u64,
     /// Per-process accounting, indexed by process id: one allocation per
     /// run instead of one per counter.
     procs: Vec<ProcRecord>,
+    /// Processes that returned 1, each with the index of its termination
+    /// event, in termination order.
+    winners: Vec<(ProcessId, u64)>,
 }
 
 /// One process's share of a [`Run`].
@@ -114,6 +121,9 @@ struct ProcRecord {
     history: Vec<Interaction>,
     shared_steps: u64,
     tosses: u64,
+    /// Index of the process's first toss or shared op (see
+    /// [`Run::first_step_at`]).
+    first_step: Option<u64>,
     verdict: Option<Value>,
     /// Crash-stop flag (see [`Run::mark_crashed`]); a crashed process
     /// takes no further events until [`Run::clear_crash`] revives it.
@@ -225,13 +235,15 @@ impl Run {
         Run::with_details(n, true)
     }
 
-    /// Creates an empty *lightweight* run: only step/toss counters and
-    /// verdicts are kept; [`Run::events`] and [`Run::history`] stay empty.
+    /// Creates an empty *lightweight* run: only step/toss counters,
+    /// verdicts, first-step stamps and winners are kept; [`Run::events`]
+    /// and [`Run::history`] stay empty.
     ///
     /// Lightweight runs cut memory from `O(total events x value size)` to
-    /// `O(n)`, which is what the large measurement sweeps need. They cannot
-    /// feed the wakeup checker or the indistinguishability checker (both
-    /// need events/histories).
+    /// `O(n)`, which is what the large measurement sweeps need. The wakeup
+    /// verdict is kept in both modes, so they feed the wakeup checker
+    /// exactly like detailed runs; they cannot feed the
+    /// indistinguishability checker (it needs histories).
     pub fn lightweight(n: usize) -> Self {
         Run::with_details(n, false)
     }
@@ -242,6 +254,7 @@ impl Run {
             events: Vec::new(),
             event_count: 0,
             procs: vec![ProcRecord::default(); n],
+            winners: Vec::new(),
         }
     }
 
@@ -265,22 +278,28 @@ impl Run {
         let pid = ev.pid();
         self.check_live(pid);
         let details = self.details;
+        let index = self.event_count;
         let proc = &mut self.procs[pid.0];
         match &ev {
             RunEvent::Toss { outcome, .. } => {
                 proc.tosses += 1;
+                proc.first_step.get_or_insert(index);
                 if details {
                     proc.history.push(Interaction::Toss(*outcome));
                 }
             }
             RunEvent::SharedOp { op, resp, .. } => {
                 proc.shared_steps += 1;
+                proc.first_step.get_or_insert(index);
                 if details {
                     proc.history.push(Interaction::Op(op.clone(), resp.clone()));
                 }
             }
             RunEvent::Terminated { value, .. } => {
                 proc.verdict = Some(value.clone());
+                if value.as_int() == Some(1) {
+                    self.winners.push((pid, index));
+                }
                 if details {
                     proc.history.push(Interaction::Returned(value.clone()));
                 }
@@ -295,7 +314,8 @@ impl Run {
     /// Records a shared-memory step from borrowed parts: equivalent to
     /// [`Run::record`] with [`RunEvent::SharedOp`], but the operation and
     /// response are cloned *only* when this run records details — the
-    /// lightweight mode's hot path just bumps two counters.
+    /// lightweight mode's hot path just bumps two counters and stamps a
+    /// first step.
     ///
     /// # Panics
     ///
@@ -304,6 +324,7 @@ impl Run {
         self.check_live(pid);
         let proc = &mut self.procs[pid.0];
         proc.shared_steps += 1;
+        proc.first_step.get_or_insert(self.event_count);
         self.event_count += 1;
         if self.details {
             proc.history.push(Interaction::Op(op.clone(), resp.clone()));
@@ -316,15 +337,17 @@ impl Run {
     }
 
     /// Clears the run in place for reuse: counters zeroed, events,
-    /// histories, verdicts, and crash flags emptied — while every buffer
-    /// keeps its allocation. The recording mode and process count are
-    /// unchanged; after a reset the run is observationally a freshly
-    /// constructed one. This is the reusable-trial-context primitive
+    /// histories, verdicts, first-step stamps, winners and crash flags
+    /// emptied — while every buffer keeps its allocation. The recording
+    /// mode and process count are unchanged; after a reset the run is
+    /// observationally a freshly constructed one. This is the
+    /// reusable-trial-context primitive
     /// behind [`Executor::reset`](crate::Executor::reset) and
     /// [`Executor::recycle_run`](crate::Executor::recycle_run).
     pub fn reset(&mut self) {
         self.events.clear();
         self.event_count = 0;
+        self.winners.clear();
         for proc in &mut self.procs {
             let mut history = std::mem::take(&mut proc.history);
             history.clear();
@@ -491,17 +514,26 @@ impl Run {
     }
 
     /// `true` iff `p` has taken at least one step (toss, shared op, or
-    /// termination).
+    /// termination). Works in both recording modes.
     pub fn has_stepped(&self, p: ProcessId) -> bool {
-        !self.procs[p.0].history.is_empty()
+        let proc = &self.procs[p.0];
+        proc.first_step.is_some() || proc.verdict.is_some()
     }
 
-    /// The index (into [`Run::events`]) of the first event in which each
-    /// process takes a step, or `None` for processes that never step.
-    /// Used by the wakeup checker's "everyone took a step before anyone
-    /// returned 1" condition.
-    pub fn first_step_index(&self, p: ProcessId) -> Option<usize> {
-        self.events.iter().position(|e| e.pid() == p)
+    /// The index of `p`'s first toss or shared op among all recorded
+    /// events (its position in [`Run::events`] when details are kept), or
+    /// `None` if `p` has taken neither. Termination alone is not a step
+    /// here — this is the wakeup problem's step notion. Kept in both
+    /// recording modes.
+    pub fn first_step_at(&self, p: ProcessId) -> Option<u64> {
+        self.procs[p.0].first_step
+    }
+
+    /// The processes that returned 1, in the order they terminated, each
+    /// with the index of its termination event (counted like
+    /// [`Run::first_step_at`]). Kept in both recording modes.
+    pub fn winners(&self) -> &[(ProcessId, u64)] {
+        &self.winners
     }
 }
 
@@ -604,15 +636,49 @@ mod tests {
     }
 
     #[test]
-    fn first_step_index_and_has_stepped() {
-        let mut run = Run::new(3);
-        run.record(op_event(1));
-        run.record(op_event(0));
-        assert_eq!(run.first_step_index(ProcessId(1)), Some(0));
-        assert_eq!(run.first_step_index(ProcessId(0)), Some(1));
-        assert_eq!(run.first_step_index(ProcessId(2)), None);
-        assert!(run.has_stepped(ProcessId(0)));
-        assert!(!run.has_stepped(ProcessId(2)));
+    fn first_step_at_and_has_stepped_in_both_modes() {
+        for mut run in [Run::new(4), Run::lightweight(4)] {
+            run.record(op_event(1));
+            run.record(RunEvent::Toss {
+                pid: ProcessId(0),
+                index: 0,
+                outcome: 0,
+            });
+            run.record_shared(
+                ProcessId(2),
+                &Operation::Ll(RegisterId(0)),
+                &Response::Value(Value::Unit),
+            );
+            run.record(op_event(1));
+            // A bare return: p3 has stepped, but not by the wakeup notion.
+            run.record(RunEvent::Terminated {
+                pid: ProcessId(3),
+                value: Value::from(0i64),
+            });
+            assert_eq!(run.first_step_at(ProcessId(1)), Some(0));
+            assert_eq!(run.first_step_at(ProcessId(0)), Some(1));
+            assert_eq!(run.first_step_at(ProcessId(2)), Some(2));
+            assert_eq!(run.first_step_at(ProcessId(3)), None);
+            assert!(ProcessId::all(4).all(|p| run.has_stepped(p)));
+            assert!(!Run::lightweight(1).has_stepped(ProcessId(0)));
+        }
+    }
+
+    #[test]
+    fn winners_are_the_ones_in_termination_order_in_both_modes() {
+        for mut run in [Run::new(3), Run::lightweight(3)] {
+            run.record(op_event(0));
+            for (pid, value) in [(2, 1i64), (0, 0), (1, 1)] {
+                run.record(RunEvent::Terminated {
+                    pid: ProcessId(pid),
+                    value: Value::from(value),
+                });
+            }
+            assert_eq!(run.winners(), &[(ProcessId(2), 1), (ProcessId(1), 3)]);
+            run.reset();
+            assert!(run.winners().is_empty());
+            assert_eq!(run.first_step_at(ProcessId(0)), None);
+        }
     }
 
     #[test]
