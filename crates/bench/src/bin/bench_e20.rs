@@ -34,13 +34,9 @@
 
 use llsc_bench::repro::run_case_with;
 use llsc_bench::xcheck::{run_hw_chaos, BackendKind};
-use llsc_bench::{e20_algorithm, e20_case, e20_recovery, E20_MAX_STEPS};
-use llsc_shmem::{json, ProcessId, RecoverySpec, RunOutcome};
+use llsc_bench::{Degradation, DEFAULT_MAX_EVENTS};
+use llsc_shmem::{json, RecoverySpec};
 use std::process::ExitCode;
-
-/// Per-trial event budget on the simulator side (the hardware side runs
-/// under [`E20_MAX_STEPS`] and the trial deadline instead).
-const SIM_MAX_EVENTS: u64 = 2_000_000;
 
 /// Degradation classes that fail the bench outright, on either backend.
 fn class_is_failure(class: &str) -> bool {
@@ -139,58 +135,42 @@ fn main() -> ExitCode {
     // Class disagreements between the two backends for the same
     // (algorithm, intensity, seed) cell.
     let mut divergence: Vec<(String, usize, u64, String, String)> = Vec::new();
-    for a in 0..6 {
-        let alg = e20_algorithm(a, n);
-        let arm = if a < 3 {
-            "memory-faults"
-        } else {
-            "crash-recovery"
-        };
+    let kind = Degradation::ChaosRecovery;
+    for a in 0..kind.algorithm_count() {
+        let alg = kind.algorithm(a, n);
+        let arm = kind.arm(a).expect("every E20 algorithm has an arm");
         // The hardware side may tighten the respawn budget (0 forces the
         // escalation path); the simulator side keeps the arm's own
         // regime — its recovery semantics have no budget-0 encoding.
-        let hw_recovery = e20_recovery(a, n).map(|r| RecoverySpec {
+        let hw_recovery = kind.recovery(a, n).map(|r| RecoverySpec {
             delay: r.delay,
             budget: respawn_budget.unwrap_or(r.budget),
         });
         for &intensity in &intensities {
             for seed in 1..=trials {
-                let case = e20_case(a, n, intensity, seed, SIM_MAX_EVENTS);
+                // The simulator side runs under the event budget, the
+                // hardware side under the step cap and the trial deadline.
+                let case = kind.case(a, n, intensity, seed, DEFAULT_MAX_EVENTS);
                 let mut cell: Vec<(BackendKind, String)> = Vec::new();
                 for &backend in &backends {
                     let row = match backend {
                         BackendKind::Sim => {
                             let run = run_case_with(&case, alg.as_ref());
-                            // Re-execute for the cost counters; the
-                            // replay is deterministic, so the second
-                            // drive sees the identical run.
-                            let replayed = llsc_shmem::repro::execute(&case, alg.as_ref());
-                            let counters = replayed.exec.run().counters();
-                            let (spurious_sc, corruptions) = match replayed.outcome {
-                                RunOutcome::FaultInjected {
-                                    spurious_sc,
-                                    corruptions,
-                                } => (spurious_sc, corruptions),
-                                _ => (0, 0),
-                            };
-                            let max_dsm = (0..n)
-                                .map(|p| replayed.exec.run().dsm_rmrs(ProcessId(p)))
-                                .max()
-                                .unwrap_or(0);
+                            let c = run.counters;
                             Row {
                                 algorithm: alg.name().to_string(),
                                 arm,
                                 backend,
                                 intensity,
                                 seed,
-                                class: run.class.clone(),
-                                max_ops: counters.max_ops(),
-                                max_dsm_rmrs: max_dsm,
-                                spurious_sc,
-                                corruptions,
-                                crashes: counters.total_crashes(),
-                                respawns: counters.total_recoveries(),
-                                detected: run.detected,
+                                class: run.class,
+                                max_ops: c.max_ops,
+                                max_dsm_rmrs: c.max_dsm_rmrs,
+                                spurious_sc: c.spurious_sc,
+                                corruptions: c.corruptions,
+                                crashes: c.crashes,
+                                respawns: c.recoveries,
+                                detected: c.detected,
                                 outcome: run.outcome_debug,
                             }
                         }
@@ -202,7 +182,7 @@ fn main() -> ExitCode {
                                 &case.faults,
                                 &case.crashes,
                                 hw_recovery,
-                                E20_MAX_STEPS,
+                                kind.max_steps(),
                             );
                             Row {
                                 algorithm: alg.name().to_string(),

@@ -11,18 +11,20 @@
 //! guarantee: the hardened algorithm's shared-access count must exactly
 //! match its unhardened twin's.
 use llsc_bench::harness::HarnessOpts;
+use llsc_bench::{degradation_sweep, Degradation, DEFAULT_MAX_EVENTS};
 use std::process::ExitCode;
-
-/// Default per-trial event budget: generous enough that only an honest
-/// stall (or a deliberate `--max-events` starvation) keeps a trial from
-/// finishing.
-const DEFAULT_MAX_EVENTS: u64 = 2_000_000;
 
 fn main() -> ExitCode {
     let opts = HarnessOpts::from_env();
     let sweep = opts.sweep();
     let max_events = opts.max_events.unwrap_or(DEFAULT_MAX_EVENTS);
-    let (exp, failures) =
-        llsc_bench::e16_fault_degradation(8, &[0, 1, 2, 4, 8], 6, max_events, &sweep);
+    let (exp, failures) = degradation_sweep(
+        Degradation::MemoryFault,
+        8,
+        &[0, 1, 2, 4, 8],
+        6,
+        max_events,
+        &sweep,
+    );
     opts.emit_with_failures(&[&exp.table], &failures)
 }

@@ -10,30 +10,20 @@
 use crate::harness::Experiment;
 use crate::table::Table;
 use llsc_core::{
-    build_all_run, ceil_log4, check_wakeup, estimate_expected_complexity_sweep, flow_report,
-    indist_all_subsets, secretive_complete_schedule, verify_lower_bound, AdversaryConfig,
-    MoveConfig, ProcSet,
+    build_all_run, ceil_log4, estimate_expected_complexity_sweep, flow_report, indist_all_subsets,
+    secretive_complete_schedule, verify_lower_bound, AdversaryConfig, MoveConfig, ProcSet,
 };
 // Re-exported for callers that predate the move of the seeding helpers
 // into `llsc_core` (see `crates/core/src/secretive.rs`).
 pub use llsc_core::random_move_config;
 use llsc_objects::FetchIncrement;
-use llsc_shmem::repro::{Provenance, RecoverySpec, ReproCase, ScheduleSpec, TossSpec};
-use llsc_shmem::{
-    Algorithm, ChaosPlan, CrashPlan, CrashScheduler, Executor, ExecutorConfig, FaultPlan,
-    ProcessId, RecoveringCrashScheduler, RegisterId, RoundRobinScheduler, RunOutcome, SeededTosses,
-    Sweep, TrialFailure, ZeroTosses,
-};
+use llsc_shmem::{Algorithm, ProcessId, RegisterId, SeededTosses, Sweep, ZeroTosses};
 use llsc_universal::{
-    measure, AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HardenedAdtTreeUniversal,
-    HardenedCombiningTreeUniversal, HardenedDirectLlSc, HerlihyUniversal, MeasureConfig,
+    measure, AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HerlihyUniversal, MeasureConfig,
     ObjectImplementation, ScheduleKind,
 };
 use llsc_wakeup::{
-    check_mutex_tokens, correct_algorithms, randomized_algorithms, CounterWakeup,
-    HardenedCounterWakeup, HardenedRandomizedCounterWakeup, HardenedTournamentWakeup, ObjectWakeup,
-    RandomizedCounterWakeup, RecoverableCounterWakeup, RecoverableMutex,
-    RecoverableRandCounterWakeup, ReductionKind, TournamentWakeup,
+    correct_algorithms, randomized_algorithms, ObjectWakeup, ReductionKind, TournamentWakeup,
 };
 use std::sync::Arc;
 
@@ -46,35 +36,6 @@ pub const E6_TITLE: &str =
     "E6 - randomized wakeup: sampled expected complexity vs c*log4(n) (Lemma 3.1)";
 /// The E13 table title (see [`E4_TITLE`] for why it is shared).
 pub const E13_TITLE: &str = "E13 - appendix claims A.2-A.9 + Lemma 5.2, exhaustive over subsets";
-
-/// The E20 table title (see [`E4_TITLE`] for why it is shared).
-pub fn e20_title(n: usize, reps: usize) -> String {
-    format!(
-        "E20 - cross-backend chaos: degradation class and recovery RMR cost vs fault \
-         intensity (n = {n}, {reps} trials per cell, simulator backend)"
-    )
-}
-
-/// The E20 table's column headers (see [`E4_TITLE`] for why they are
-/// shared).
-pub const E20_HEADERS: [&str; 16] = [
-    "algorithm",
-    "arm",
-    "intensity",
-    "trials",
-    "recovered",
-    "detected wrong",
-    "silent wrong",
-    "stalled",
-    "crashed",
-    "aborted",
-    "crashes",
-    "recoveries",
-    "spurious SC",
-    "corruptions",
-    "CC RMRs",
-    "DSM RMRs",
-];
 
 /// The `(algorithm index, n)` product used by the per-algorithm sweeps.
 fn alg_size_pairs(algs: usize, ns: &[usize]) -> Vec<(usize, usize)> {
@@ -1021,1308 +982,32 @@ pub fn e5_tournament_tightness(ns: &[usize], sweep: &Sweep) -> Experiment<(usize
     Experiment { table, rows }
 }
 
-/// Attaches a serialized [`ReproCase`] to every isolated trial failure.
-///
-/// `case_for` rebuilds the failing trial's inputs (plans re-derived from
-/// the failure's final-attempt seed); this helper stamps the provenance,
-/// re-executes the case once through the panic-isolated classifier to
-/// record its ground-truth outcome and failure class, and stores the
-/// JSON on the failure row so `--repro-dir` (and the artifact) can ship
-/// it to `llsc replay` / `llsc shrink`.
-fn attach_repro(
-    failures: &mut [TrialFailure],
-    sweep: &Sweep,
-    mut case_for: impl FnMut(&TrialFailure) -> ReproCase,
-) {
-    for failure in failures {
-        let mut case = case_for(failure);
-        case.provenance = Some(Provenance {
-            sweep_seed: sweep.seed,
-            trial_index: failure.index,
-            attempt: failure.attempts.saturating_sub(1),
-        });
-        if let Some(alg) = crate::repro::resolve_algorithm(&case.algorithm, case.n) {
-            let run = crate::repro::run_case_with(&case, alg.as_ref());
-            case.outcome = run.outcome_debug;
-            case.class = run.class;
-        }
-        failure.repro = Some(case.to_json());
-    }
-}
-
-/// One row of E15: how one wakeup solution degrades when `crashed`
-/// processes are crash-faulted mid-run.
-#[derive(Clone, Debug)]
-pub struct E15Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Number of crash-faulted processes (`k`).
-    pub crashed: usize,
-    /// Trials run for this `(algorithm, k)` cell.
-    pub trials: usize,
-    /// Trials that completed anyway (every victim's crash point fell
-    /// after its termination, so nobody actually died).
-    pub completed: usize,
-    /// Trials the executor correctly classified as
-    /// [`RunOutcome::Crashed`].
-    pub crash_reported: usize,
-    /// Trials that exhausted the event budget while survivors spun on a
-    /// dead process.
-    pub budget_exhausted: usize,
-    /// Whether every trial's run prefix satisfied the checkable wakeup
-    /// conditions (no premature winner, binary returns).
-    pub safety_ok: bool,
-}
-
-/// The algorithms E15 degrades: the three wakeup solutions the paper's
-/// bound covers plus the oblivious universal construction solving wakeup
-/// through the fetch&increment reduction.
-pub(crate) fn e15_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    match idx {
-        0 => Box::new(TournamentWakeup),
-        1 => Box::new(CounterWakeup),
-        2 => Box::new(RandomizedCounterWakeup),
-        3 => {
-            let kind = ReductionKind::FetchIncrement;
-            Box::new(ObjectWakeup::new(
-                kind,
-                n,
-                Arc::new(AdtTreeUniversal::new(kind.spec_for(n))),
-            ))
-        }
-        _ => unreachable!("E15 has 4 algorithms"),
-    }
-}
-
-/// The step cap [`CrashScheduler::drive`] runs each E15 trial under; runs
-/// a crash leaves spinning stop here (and classify as `Crashed`) unless
-/// the event budget fires first.
-const E15_MAX_STEPS: u64 = 40_000;
-
-/// E15: graceful degradation under crash faults. Each trial runs one
-/// wakeup algorithm under a round-robin schedule with `k` processes
-/// crash-faulted at seeded points ([`CrashPlan::seeded`]), then classifies
-/// the result with [`Executor::run_outcome`] and checks the surviving run
-/// prefix against the wakeup specification. `k = 0` trials must complete —
-/// a starved `max_events` makes them panic, which the panic-isolated
-/// sweep reports as [`TrialFailure`]s instead of aborting the experiment.
-///
-/// Trials fan out over the sweep; rows and failures are merged in index
-/// order, so the output is byte-identical at every thread count.
-pub fn e15_crash_degradation(
-    n: usize,
-    ks: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<E15Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 4;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * ks.len() * reps);
-    for a in 0..ALGS {
-        for &k in ks {
-            for rep in 0..reps {
-                items.push((a, k, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e15_algorithm(a, n).name().to_string())
-        .collect();
-    let outcomes = sweep.run_fallible(
-        &items,
-        |trial, &(a, k, _rep)| {
-            let alg = e15_algorithm(a, n);
-            let cfg = ExecutorConfig {
-                max_events,
-                ..ExecutorConfig::default()
-            };
-            let mut exec = Executor::new(
-                alg.as_ref(),
-                n,
-                Arc::new(SeededTosses::new(trial.seed)),
-                cfg,
-            );
-            // Crash points land inside the early part of the run, where every
-            // algorithm still has live waiters to strand.
-            let plan = CrashPlan::seeded(trial.seed, n, k, 8 * n as u64);
-            let mut sched = CrashScheduler::new(RoundRobinScheduler::new(), plan);
-            // A budget/burst fault is sticky, so `run_outcome` reports it;
-            // the drive result itself carries no extra information here.
-            let _ = sched.drive(&mut exec, E15_MAX_STEPS);
-            let outcome = exec.run_outcome();
-            if k == 0 {
-                assert!(
-                    matches!(outcome, RunOutcome::Completed),
-                    "{}: fault-free trial must complete, got {outcome} (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-            }
-            let check = check_wakeup(&exec.into_run());
-            (outcome, check.ok())
-        },
-        |trial, &(a, k, _rep)| {
-            format!(
-                "alg={} n={n} crash-plan:k={k},window={} tosses=seeded:{:#018x}",
-                names[a],
-                8 * n as u64,
-                trial.seed
-            )
-        },
-    );
-    let mut failures = Vec::new();
-    let mut cells: Vec<E15Row> = Vec::new();
-    for ((a, k, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.crashed != *k)
-        {
-            cells.push(E15Row {
-                algorithm: names[*a].clone(),
-                crashed: *k,
-                trials: 0,
-                completed: 0,
-                crash_reported: 0,
-                budget_exhausted: 0,
-                safety_ok: true,
-            });
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        match result {
-            Ok((outcome, safe)) => {
-                cell.trials += 1;
-                cell.safety_ok &= safe;
-                match outcome {
-                    RunOutcome::Completed => cell.completed += 1,
-                    RunOutcome::Crashed { .. } => cell.crash_reported += 1,
-                    RunOutcome::BudgetExhausted { .. } => cell.budget_exhausted += 1,
-                    RunOutcome::DivergedLocalBurst { pid } => {
-                        unreachable!("E15 local sections are finite, yet {pid} diverged")
-                    }
-                    RunOutcome::FaultInjected { .. } => {
-                        unreachable!("E15 injects crash faults only, never memory faults")
-                    }
-                }
-            }
-            Err(f) => failures.push(f),
-        }
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, k, _rep) = items[failure.index];
-        ReproCase {
-            experiment: "e15".to_string(),
-            algorithm: names[a].clone(),
-            n,
-            toss: TossSpec::Seeded(failure.derived_seed),
-            schedule: ScheduleSpec::RoundRobin,
-            crashes: CrashPlan::seeded(failure.derived_seed, n, k, 8 * n as u64),
-            recovery: None,
-            faults: FaultPlan::none(),
-            max_events,
-            max_steps: E15_MAX_STEPS,
-            outcome: String::new(),
-            class: String::new(),
-            provenance: None,
-        }
-    });
-
-    let mut table = Table::new(
-        format!("E15 - crash-fault degradation (n = {n}, {reps} trials per cell)"),
-        [
-            "algorithm",
-            "crashed",
-            "trials",
-            "completed",
-            "crash reported",
-            "budget exhausted",
-            "safety",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.crashed.to_string(),
-            r.trials.to_string(),
-            r.completed.to_string(),
-            r.crash_reported.to_string(),
-            r.budget_exhausted.to_string(),
-            if r.safety_ok { "ok" } else { "VIOLATED" }.to_string(),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
-}
-
-/// One row of E16: how one fault-hardened wakeup solution degrades as the
-/// memory-fault budget grows.
-#[derive(Clone, Debug)]
-pub struct E16Row {
-    /// Algorithm name (the hardened twin's).
-    pub algorithm: String,
-    /// Fault budget `f`: the plan schedules `f` spurious SC failures plus
-    /// `f` register corruptions inside the early event window.
-    pub faults: usize,
-    /// Trials run for this `(algorithm, f)` cell.
-    pub trials: usize,
-    /// Trials that terminated with a correct wakeup answer (recovery).
-    pub recovered: usize,
-    /// Trials that terminated with a wrong answer *and* at least one
-    /// published detection — the algorithm knew something was off.
-    pub detected_wrong: usize,
-    /// Trials that terminated with a wrong answer and no detection — the
-    /// failure mode hardening exists to eliminate.
-    pub silent_wrong: usize,
-    /// Trials that exhausted their step/event budget (honest stalls, e.g.
-    /// an orphaned follower polling a corrupted log).
-    pub stalled: usize,
-    /// Faults actually delivered across the cell's trials
-    /// ([`llsc_shmem::FaultStats::total`]).
-    pub injected: u64,
-    /// Detections published to the telemetry registers across the cell.
-    pub detected: u64,
-    /// Mean shared-memory accesses per trial — the degradation curve's
-    /// cost axis (extra accesses come from retries and backoff).
-    pub mean_ops: f64,
-}
-
-/// The hardened algorithms E16 degrades: the three hardened wakeup
-/// solutions plus the three hardened universal constructions solving
-/// wakeup through the fetch&increment reduction.
-pub(crate) fn e16_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    let kind = ReductionKind::FetchIncrement;
-    match idx {
-        0 => Box::new(HardenedCounterWakeup),
-        1 => Box::new(HardenedTournamentWakeup),
-        2 => Box::new(HardenedRandomizedCounterWakeup),
-        3 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(HardenedDirectLlSc::new(kind.spec_for(n))),
-        )),
-        4 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(HardenedCombiningTreeUniversal::new(kind.spec_for(n))),
-        )),
-        5 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(HardenedAdtTreeUniversal::new(kind.spec_for(n))),
-        )),
-        _ => unreachable!("E16 has 6 algorithms"),
-    }
-}
-
-/// The unhardened twin of [`e16_algorithm`]`(idx, _)` — the zero-cost
-/// baseline every `f = 0` trial is compared against, access for access.
-pub(crate) fn e16_unhardened_twin(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    let kind = ReductionKind::FetchIncrement;
-    match idx {
-        0 => Box::new(CounterWakeup),
-        1 => Box::new(TournamentWakeup),
-        2 => Box::new(RandomizedCounterWakeup),
-        3 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(DirectLlSc::new(kind.spec_for(n))),
-        )),
-        4 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(CombiningTreeUniversal::new(kind.spec_for(n))),
-        )),
-        5 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(AdtTreeUniversal::new(kind.spec_for(n))),
-        )),
-        _ => unreachable!("E16 has 6 algorithms"),
-    }
-}
-
-/// The step cap each E16 trial's round-robin drive runs under; orphaned
-/// followers polling a corrupted log stop here and classify as stalled.
-const E16_MAX_STEPS: u64 = 40_000;
-
-/// Drives `alg` under a round-robin schedule with `plan`'s memory faults
-/// armed and returns `(outcome, total shared accesses, published
-/// detections, faults delivered, wakeup check passed)`.
-fn e16_trial(
-    alg: &dyn Algorithm,
-    n: usize,
-    seed: u64,
-    plan: FaultPlan,
-    max_events: u64,
-) -> (RunOutcome, u64, u64, u64, bool) {
-    let cfg = ExecutorConfig {
-        max_events,
-        ..ExecutorConfig::default()
-    };
-    let mut exec = Executor::new(alg, n, Arc::new(SeededTosses::new(seed)), cfg);
-    exec.set_fault_plan(plan);
-    let _ = exec.drive(&mut RoundRobinScheduler::new(), E16_MAX_STEPS);
-    let outcome = exec.run_outcome();
-    let ops = exec.memory().stats().total();
-    // Both telemetry ranges: the hardened wakeup algorithms publish at
-    // one base, the hardened universal constructions at another.
-    let detected: u64 = (0..n)
-        .map(ProcessId)
-        .map(|p| {
-            let wakeup = exec.memory().peek(llsc_wakeup::hardened_detect_reg(p));
-            let universal = exec.memory().peek(llsc_universal::hardened_detect_reg(p));
-            wakeup.as_int().unwrap_or(0).max(0) as u64
-                + universal.as_int().unwrap_or(0).max(0) as u64
-        })
-        .sum();
-    let injected = exec.fault_stats().total();
-    let safe = check_wakeup(&exec.into_run()).ok();
-    (outcome, ops, detected, injected, safe)
-}
-
-/// E16: graceful degradation under memory faults. Each trial runs one
-/// *hardened* wakeup solution under a round-robin schedule with a seeded
-/// [`FaultPlan`] delivering up to `f` spurious SC failures and `f`
-/// register corruptions inside the early event window, then classifies
-/// the result: **recovered** (terminated, correct answer),
-/// **detected-wrong** (wrong answer, but the algorithm published a
-/// detection), **silent-wrong** (wrong answer, no detection), or
-/// **stalled** (budget exhausted, e.g. an orphaned follower honestly
-/// polling a corrupted log).
-///
-/// Every `f = 0` trial must recover *and* spend exactly as many shared
-/// accesses as its unhardened twin under the same seed — the zero-cost
-/// guarantee. A violation panics, which the panic-isolated sweep reports
-/// as a [`TrialFailure`] (with the fault plan in its context) instead of
-/// aborting the experiment. Rows and failures merge in index order, so
-/// the output is byte-identical at every thread count.
-pub fn e16_fault_degradation(
-    n: usize,
-    fs: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<E16Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 6;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * fs.len() * reps);
-    for a in 0..ALGS {
-        for &f in fs {
-            for rep in 0..reps {
-                items.push((a, f, rep));
-            }
-        }
-    }
-
-    // The reduction wrapper's name alone does not say which hardened
-    // construction backs it, so the three `ObjectWakeup` rows carry
-    // explicit labels.
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| match a {
-            3 => "wakeup-from-fetch&increment[hardened-direct-llsc]".to_string(),
-            4 => "wakeup-from-fetch&increment[hardened-combining-tree]".to_string(),
-            5 => "wakeup-from-fetch&increment[hardened-adt-group-update]".to_string(),
-            _ => e16_algorithm(a, n).name().to_string(),
-        })
-        .collect();
-    // Fault times land inside the early part of the run, where every
-    // algorithm still has SCs in flight and registers worth corrupting.
-    let plan_for = |seed: u64, f: usize| FaultPlan::seeded(seed, f, f, 4 * n as u64);
-    let outcomes = sweep.run_fallible(
-        &items,
-        |trial, &(a, f, _rep)| {
-            let alg = e16_algorithm(a, n);
-            let plan = plan_for(trial.seed, f);
-            let (outcome, ops, detected, injected, safe) =
-                e16_trial(alg.as_ref(), n, trial.seed, plan, max_events);
-            if f == 0 {
-                assert!(
-                    matches!(outcome, RunOutcome::Completed) && safe,
-                    "{}: fault-free trial must complete correctly, got {outcome} \
-                     (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-                let twin = e16_unhardened_twin(a, n);
-                let (_, twin_ops, _, _, _) =
-                    e16_trial(twin.as_ref(), n, trial.seed, FaultPlan::none(), max_events);
-                assert_eq!(
-                    ops,
-                    twin_ops,
-                    "{}: hardening must be zero-cost without faults, but spent {ops} \
-                     accesses vs the twin's {twin_ops} (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-            }
-            (outcome, ops, detected, safe, injected)
-        },
-        |trial, &(a, f, _rep)| {
-            format!(
-                "alg={} n={n} {} tosses=seeded:{:#018x}",
-                names[a],
-                plan_for(trial.seed, f).summary(),
-                trial.seed
-            )
-        },
-    );
-
-    let mut failures = Vec::new();
-    let mut cells: Vec<E16Row> = Vec::new();
-    let mut cell_ops: Vec<u64> = Vec::new();
-    for ((a, f, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.faults != *f)
-        {
-            cells.push(E16Row {
-                algorithm: names[*a].clone(),
-                faults: *f,
-                trials: 0,
-                recovered: 0,
-                detected_wrong: 0,
-                silent_wrong: 0,
-                stalled: 0,
-                injected: 0,
-                detected: 0,
-                mean_ops: 0.0,
-            });
-            cell_ops.push(0);
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        let ops_sum = cell_ops.last_mut().expect("pushed alongside the cell");
-        match result {
-            Ok((outcome, ops, detected, safe, injected)) => {
-                cell.trials += 1;
-                cell.injected += injected;
-                cell.detected += detected;
-                *ops_sum += ops;
-                match outcome {
-                    RunOutcome::Completed | RunOutcome::FaultInjected { .. } => {
-                        if safe {
-                            cell.recovered += 1;
-                        } else if detected > 0 {
-                            cell.detected_wrong += 1;
-                        } else {
-                            cell.silent_wrong += 1;
-                        }
-                    }
-                    RunOutcome::BudgetExhausted { .. } => cell.stalled += 1,
-                    RunOutcome::Crashed { pid } => {
-                        unreachable!("E16 injects memory faults only, yet {pid} crashed")
-                    }
-                    RunOutcome::DivergedLocalBurst { pid } => {
-                        unreachable!("E16 local sections are finite, yet {pid} diverged")
-                    }
-                }
-            }
-            Err(fail) => failures.push(fail),
-        }
-    }
-    for (cell, &ops) in cells.iter_mut().zip(&cell_ops) {
-        cell.mean_ops = if cell.trials == 0 {
-            0.0
-        } else {
-            ops as f64 / cell.trials as f64
-        };
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, f, _rep) = items[failure.index];
-        ReproCase {
-            experiment: "e16".to_string(),
-            algorithm: names[a].clone(),
-            n,
-            toss: TossSpec::Seeded(failure.derived_seed),
-            schedule: ScheduleSpec::RoundRobin,
-            crashes: CrashPlan::none(),
-            recovery: None,
-            faults: plan_for(failure.derived_seed, f),
-            max_events,
-            max_steps: E16_MAX_STEPS,
-            outcome: String::new(),
-            class: String::new(),
-            provenance: None,
-        }
-    });
-
-    let mut table = Table::new(
-        format!("E16 - memory-fault degradation (n = {n}, {reps} trials per cell)"),
-        [
-            "algorithm",
-            "faults",
-            "trials",
-            "recovered",
-            "detected wrong",
-            "silent wrong",
-            "stalled",
-            "injected",
-            "detected",
-            "mean ops",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.faults.to_string(),
-            r.trials.to_string(),
-            r.recovered.to_string(),
-            r.detected_wrong.to_string(),
-            r.silent_wrong.to_string(),
-            r.stalled.to_string(),
-            r.injected.to_string(),
-            r.detected.to_string(),
-            format!("{:.1}", r.mean_ops),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
-}
-
-/// One row of E17: the failure-class histogram of one algorithm at one
-/// chaos intensity, plus the median minimal-reproducer size.
-#[derive(Clone, Debug)]
-pub struct E17Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Chaos intensity: the [`ChaosPlan`] schedules `intensity / 2` crash
-    /// victims plus `intensity` spurious SC failures and `intensity`
-    /// register corruptions, under a seeded random schedule.
-    pub intensity: usize,
-    /// Trials run for this `(algorithm, intensity)` cell.
-    pub trials: usize,
-    /// Trials that terminated with a correct wakeup answer.
-    pub recovered: usize,
-    /// Trials that terminated wrong with a published detection.
-    pub detected_wrong: usize,
-    /// Trials that terminated wrong with no detection.
-    pub silent_wrong: usize,
-    /// Trials that exhausted their step/event budget.
-    pub stalled: usize,
-    /// Trials the executor classified as [`RunOutcome::Crashed`].
-    pub crashed: usize,
-    /// Trials that aborted (local-burst divergence or a panic inside the
-    /// isolated execution).
-    pub aborted: usize,
-    /// Median size (lower median) of the minimal reproducers shrunk from
-    /// this cell's non-recovered trials; `None` when every trial
-    /// recovered.
-    pub median_shrunk: Option<usize>,
-}
-
-/// The algorithms E17 stresses: the three hardened wakeup solutions and
-/// their unhardened twins, side by side under identical chaos plans.
-pub(crate) fn e17_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    if idx < 3 {
-        e16_algorithm(idx, n)
-    } else {
-        e16_unhardened_twin(idx - 3, n)
-    }
-}
-
-/// The step cap each E17 trial's random-schedule drive runs under.
-const E17_MAX_STEPS: u64 = 20_000;
-
-/// The per-trial replay budget [`crate::repro::shrink_case`] gets when
-/// minimizing a failing chaos trial.
-const E17_SHRINK_BUDGET: usize = 160;
-
-/// E17: combined chaos mode. Each trial composes every adversary the
-/// fault experiments exercise separately — crash faults, memory faults
-/// (spurious SC failures and register corruption), and a seeded random
-/// schedule — into one [`ChaosPlan`], runs a hardened wakeup solution or
-/// its unhardened twin under it, and classifies the result with the
-/// shared failure-class vocabulary ([`crate::repro::classify`]).
-///
-/// Every non-recovered trial is packaged as a [`ReproCase`] and shrunk
-/// on the spot ([`crate::repro::shrink_case`]); the cell reports the
-/// median minimal-reproducer size — how small the schedule/fault
-/// evidence for each failure mode gets. `intensity = 0` trials must
-/// recover; a violation panics, which the panic-isolated sweep reports
-/// as a [`TrialFailure`] with an attached reproducer. Rows and failures
-/// merge in index order, so the output is byte-identical at every thread
-/// count.
-pub fn e17_chaos_mode(
-    n: usize,
-    intensities: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<E17Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 6;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * intensities.len() * reps);
-    for a in 0..ALGS {
-        for &intensity in intensities {
-            for rep in 0..reps {
-                items.push((a, intensity, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e17_algorithm(a, n).name().to_string())
-        .collect();
-    let case_for = |a: usize, intensity: usize, seed: u64| {
-        ChaosPlan::seeded(seed, n, intensity, 8 * n as u64).to_case(
-            "e17",
-            &names[a],
-            n,
-            TossSpec::Seeded(seed),
-            max_events,
-            E17_MAX_STEPS,
-        )
-    };
-    let outcomes = sweep.run_fallible(
-        &items,
-        |trial, &(a, intensity, _rep)| {
-            let alg = e17_algorithm(a, n);
-            let mut case = case_for(a, intensity, trial.seed);
-            let run = crate::repro::run_case_with(&case, alg.as_ref());
-            if intensity == 0 {
-                assert!(
-                    run.class == "recovered",
-                    "{}: chaos-free trial must recover, got {} ({}) (seed {:#018x})",
-                    names[a],
-                    run.class,
-                    run.outcome_debug,
-                    trial.seed
-                );
-            }
-            let shrunk = if run.class == "recovered" {
-                None
-            } else {
-                case.outcome = run.outcome_debug.clone();
-                case.class = run.class.clone();
-                let report = crate::repro::shrink_case(&case, E17_SHRINK_BUDGET)
-                    .expect("E17 algorithm names resolve through the registry");
-                Some(report.final_size)
-            };
-            (run.class, shrunk)
-        },
-        |trial, &(a, intensity, _rep)| {
-            format!(
-                "alg={} n={n} {} tosses=seeded:{:#018x}",
-                names[a],
-                ChaosPlan::seeded(trial.seed, n, intensity, 8 * n as u64).summary(),
-                trial.seed
-            )
-        },
-    );
-
-    let mut failures = Vec::new();
-    let mut cells: Vec<E17Row> = Vec::new();
-    let mut cell_shrunk: Vec<Vec<usize>> = Vec::new();
-    for ((a, intensity, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.intensity != *intensity)
-        {
-            cells.push(E17Row {
-                algorithm: names[*a].clone(),
-                intensity: *intensity,
-                trials: 0,
-                recovered: 0,
-                detected_wrong: 0,
-                silent_wrong: 0,
-                stalled: 0,
-                crashed: 0,
-                aborted: 0,
-                median_shrunk: None,
-            });
-            cell_shrunk.push(Vec::new());
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        let shrunk = cell_shrunk.last_mut().expect("pushed alongside the cell");
-        match result {
-            Ok((class, size)) => {
-                cell.trials += 1;
-                match class.as_str() {
-                    "recovered" => cell.recovered += 1,
-                    "detected-wrong" => cell.detected_wrong += 1,
-                    "silent-wrong" => cell.silent_wrong += 1,
-                    "stalled" => cell.stalled += 1,
-                    "crashed" => cell.crashed += 1,
-                    _ => cell.aborted += 1,
-                }
-                shrunk.extend(size);
-            }
-            Err(fail) => failures.push(fail),
-        }
-    }
-    for (cell, sizes) in cells.iter_mut().zip(&mut cell_shrunk) {
-        sizes.sort_unstable();
-        cell.median_shrunk = if sizes.is_empty() {
-            None
-        } else {
-            Some(sizes[(sizes.len() - 1) / 2])
-        };
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, intensity, _rep) = items[failure.index];
-        case_for(a, intensity, failure.derived_seed)
-    });
-
-    let mut table = Table::new(
-        format!("E17 - combined chaos mode (n = {n}, {reps} trials per cell)"),
-        [
-            "algorithm",
-            "intensity",
-            "trials",
-            "recovered",
-            "detected wrong",
-            "silent wrong",
-            "stalled",
-            "crashed",
-            "aborted",
-            "median shrunk size",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.intensity.to_string(),
-            r.trials.to_string(),
-            r.recovered.to_string(),
-            r.detected_wrong.to_string(),
-            r.silent_wrong.to_string(),
-            r.stalled.to_string(),
-            r.crashed.to_string(),
-            r.aborted.to_string(),
-            r.median_shrunk
-                .map_or_else(|| "-".to_string(), |m| m.to_string()),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
-}
-
-/// One row of E19: how one recoverable algorithm's completion rate and
-/// remote-memory-reference bill grow with crash intensity under the
-/// crash-*recovery* adversary.
-#[derive(Clone, Debug)]
-pub struct E19Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Number of crash-recovery victims (`k`, the crash intensity).
-    pub crashed: usize,
-    /// Trials run for this `(algorithm, k)` cell.
-    pub trials: usize,
-    /// Trials that completed (every process terminated, possibly after
-    /// one or more crash/recovery cycles).
-    pub completed: usize,
-    /// Trials whose step cap fired while a victim was still down.
-    pub crash_reported: usize,
-    /// Trials that exhausted their event or step budget with every
-    /// process live.
-    pub budget_exhausted: usize,
-    /// Crashes actually delivered across the cell's trials (re-crashes
-    /// under the per-victim budget included).
-    pub crashes: u64,
-    /// Recoveries performed across the cell's trials.
-    pub recoveries: u64,
-    /// Total remote memory references under the cache-coherent cost
-    /// model across the cell (recovery cold-restarts the victim's cache,
-    /// so this is the CC-side recovery-cost curve).
-    pub cc_rmrs: u64,
-    /// Total remote memory references under the distributed-shared-memory
-    /// cost model across the cell.
-    pub dsm_rmrs: u64,
-    /// Whether every trial satisfied its algorithm's safety property
-    /// (wakeup conditions, or token distinctness for the mutex).
-    pub safety_ok: bool,
-}
-
-/// The recoverable algorithms E19 sweeps: the recoverable mutex and the
-/// two recoverable wakeup variants.
-pub(crate) fn e19_algorithm(idx: usize) -> Box<dyn Algorithm> {
-    match idx {
-        0 => Box::new(RecoverableMutex),
-        1 => Box::new(RecoverableCounterWakeup),
-        2 => Box::new(RecoverableRandCounterWakeup),
-        _ => unreachable!("E19 has 3 algorithms"),
-    }
-}
-
-/// The step cap each E19 trial's recovering drive runs under.
-const E19_MAX_STEPS: u64 = 40_000;
-
-/// The crash-recovery parameters every E19 trial (and its attached
-/// [`ReproCase`]) runs with: victims come back `n` events after each
-/// crash and may be re-crashed once (two crashes per victim in total) —
-/// enough to land re-crashes inside recovery sections without making
-/// completion hopeless.
-pub(crate) fn e19_recovery_spec(n: usize) -> RecoverySpec {
-    RecoverySpec {
-        delay: n as u64,
-        budget: 2,
-    }
-}
-
-/// E19: recovery cost vs crash intensity. Each trial runs one
-/// *recoverable* algorithm under a round-robin schedule with `k`
-/// processes crash-faulted at seeded points and revived by the
-/// [`RecoveringCrashScheduler`] (crashed processes lose their local state
-/// and re-enter through the algorithm's recovery section), then
-/// classifies the outcome and bills the run's remote memory references
-/// under both the CC and DSM cost models. `k = 0` trials must complete —
-/// a starved `max_events` makes them panic, which the panic-isolated
-/// sweep reports as [`TrialFailure`]s (each carrying a replayable
-/// [`ReproCase`] with its [`RecoverySpec`]) instead of aborting.
-///
-/// Safety is checked per algorithm: the wakeup variants against the
-/// checkable wakeup conditions, the mutex against token distinctness
-/// ([`check_mutex_tokens`]). Rows and failures merge in index order, so
-/// the output is byte-identical at every thread count.
-pub fn e19_recovery_sweep(
-    n: usize,
-    ks: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<E19Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 3;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * ks.len() * reps);
-    for a in 0..ALGS {
-        for &k in ks {
-            for rep in 0..reps {
-                items.push((a, k, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e19_algorithm(a).name().to_string())
-        .collect();
-    let spec = e19_recovery_spec(n);
-    let outcomes = sweep.run_fallible(
-        &items,
-        |trial, &(a, k, _rep)| {
-            let alg = e19_algorithm(a);
-            let cfg = ExecutorConfig {
-                max_events,
-                ..ExecutorConfig::default()
-            };
-            let mut exec = Executor::new(
-                alg.as_ref(),
-                n,
-                Arc::new(SeededTosses::new(trial.seed)),
-                cfg,
-            );
-            let plan = CrashPlan::seeded(trial.seed, n, k, 8 * n as u64);
-            let mut sched = RecoveringCrashScheduler::new(
-                RoundRobinScheduler::new(),
-                &plan,
-                spec.delay,
-                spec.budget,
-            );
-            let _ = sched.drive(&mut exec, alg.as_ref(), E19_MAX_STEPS);
-            let outcome = exec.run_outcome();
-            if k == 0 {
-                assert!(
-                    matches!(outcome, RunOutcome::Completed),
-                    "{}: crash-free trial must complete, got {outcome} (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-            }
-            let safe = if a == 0 {
-                check_mutex_tokens((0..n).map(|i| exec.verdict(ProcessId(i))), n).is_ok()
-            } else {
-                check_wakeup(exec.run()).ok()
-            };
-            let counters = exec.run().counters();
-            (
-                outcome,
-                safe,
-                counters.total_crashes(),
-                counters.total_recoveries(),
-                counters.total_cc_rmrs(),
-                counters.total_dsm_rmrs(),
-            )
-        },
-        |trial, &(a, k, _rep)| {
-            format!(
-                "alg={} n={n} recovery-crash-plan:k={k},window={},delay={},budget={} \
-                 tosses=seeded:{:#018x}",
-                names[a],
-                8 * n as u64,
-                spec.delay,
-                spec.budget,
-                trial.seed
-            )
-        },
-    );
-    let mut failures = Vec::new();
-    let mut cells: Vec<E19Row> = Vec::new();
-    for ((a, k, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.crashed != *k)
-        {
-            cells.push(E19Row {
-                algorithm: names[*a].clone(),
-                crashed: *k,
-                trials: 0,
-                completed: 0,
-                crash_reported: 0,
-                budget_exhausted: 0,
-                crashes: 0,
-                recoveries: 0,
-                cc_rmrs: 0,
-                dsm_rmrs: 0,
-                safety_ok: true,
-            });
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        match result {
-            Ok((outcome, safe, crashes, recoveries, cc, dsm)) => {
-                cell.trials += 1;
-                cell.safety_ok &= safe;
-                cell.crashes += crashes;
-                cell.recoveries += recoveries;
-                cell.cc_rmrs += cc;
-                cell.dsm_rmrs += dsm;
-                match outcome {
-                    RunOutcome::Completed => cell.completed += 1,
-                    RunOutcome::Crashed { .. } => cell.crash_reported += 1,
-                    RunOutcome::BudgetExhausted { .. } => cell.budget_exhausted += 1,
-                    RunOutcome::DivergedLocalBurst { pid } => {
-                        unreachable!("E19 local sections are finite, yet {pid} diverged")
-                    }
-                    RunOutcome::FaultInjected { .. } => {
-                        unreachable!("E19 injects crash faults only, never memory faults")
-                    }
-                }
-            }
-            Err(f) => failures.push(f),
-        }
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, k, _rep) = items[failure.index];
-        ReproCase {
-            experiment: "e19".to_string(),
-            algorithm: names[a].clone(),
-            n,
-            toss: TossSpec::Seeded(failure.derived_seed),
-            schedule: ScheduleSpec::RoundRobin,
-            crashes: CrashPlan::seeded(failure.derived_seed, n, k, 8 * n as u64),
-            recovery: Some(spec),
-            faults: FaultPlan::none(),
-            max_events,
-            max_steps: E19_MAX_STEPS,
-            outcome: String::new(),
-            class: String::new(),
-            provenance: None,
-        }
-    });
-
-    let mut table = Table::new(
-        format!(
-            "E19 - recovery cost vs crash intensity (n = {n}, {reps} trials per cell, \
-             recovery delay {}, crash budget {})",
-            spec.delay, spec.budget
-        ),
-        [
-            "algorithm",
-            "crashed",
-            "trials",
-            "completed",
-            "crash reported",
-            "budget exhausted",
-            "crashes",
-            "recoveries",
-            "CC RMRs",
-            "DSM RMRs",
-            "safety",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.crashed.to_string(),
-            r.trials.to_string(),
-            r.completed.to_string(),
-            r.crash_reported.to_string(),
-            r.budget_exhausted.to_string(),
-            r.crashes.to_string(),
-            r.recoveries.to_string(),
-            r.cc_rmrs.to_string(),
-            r.dsm_rmrs.to_string(),
-            if r.safety_ok { "ok" } else { "VIOLATED" }.to_string(),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
-}
-
-/// One row of E20: how one algorithm family degrades — and what its
-/// recovery costs — as chaos intensity grows, on the simulator backend.
-/// The hardware half of E20 lives in `bench_e20` / `llsc bench`
-/// (`BENCH_pr10.json`), which runs the same seeded plans through the
-/// thread-per-process driver and records sim-vs-hardware divergence.
-#[derive(Clone, Debug)]
-pub struct E20Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// The adversary arm the algorithm's family gets
-    /// (`"memory-faults"` for the hardened trio, `"crash-recovery"`
-    /// for the recoverable trio — see [`crate::xcheck::chaos_arm`]).
-    pub arm: &'static str,
-    /// Chaos intensity (scales every armed layer at once).
-    pub intensity: usize,
-    /// Trials run for this `(algorithm, intensity)` cell.
-    pub trials: usize,
-    /// Trials that terminated with a correct answer.
-    pub recovered: usize,
-    /// Trials that terminated wrong with a published detection.
-    pub detected_wrong: usize,
-    /// Trials that terminated wrong with no detection — the class the
-    /// chaos-validated families must never produce (the goldens pin it
-    /// at 0).
-    pub silent_wrong: usize,
-    /// Trials that exhausted their step/event budget.
-    pub stalled: usize,
-    /// Trials classified [`RunOutcome::Crashed`] (a victim still down
-    /// at the step cap).
-    pub crashed: usize,
-    /// Trials that aborted (local-burst divergence).
-    pub aborted: usize,
-    /// Crashes delivered across the cell's trials.
-    pub crashes: u64,
-    /// Recoveries performed across the cell's trials.
-    pub recoveries: u64,
-    /// Spurious SC failures delivered across the cell's trials.
-    pub spurious_sc: u64,
-    /// Register corruptions delivered across the cell's trials.
-    pub corruptions: u64,
-    /// Total CC-model remote memory references across the cell — with
-    /// [`E20Row::dsm_rmrs`], the recovery-RMR-cost curve vs intensity.
-    pub cc_rmrs: u64,
-    /// Total DSM-model remote memory references across the cell.
-    pub dsm_rmrs: u64,
-}
-
-/// The algorithms E20 stresses: the three hardened wakeup solutions
-/// (memory-fault arm, indices 0–2) and the three crash-recoverable
-/// algorithms (crash-recovery arm, indices 3–5).
-pub fn e20_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    if idx < 3 {
-        e16_algorithm(idx, n)
-    } else {
-        e19_algorithm(idx - 3)
-    }
-}
-
-/// The recovery regime of E20's crash-recovery arm (`None` for the
-/// hardened trio's memory-fault arm).
-pub fn e20_recovery(idx: usize, n: usize) -> Option<RecoverySpec> {
-    (idx >= 3).then(|| e19_recovery_spec(n))
-}
-
-/// The step cap each E20 trial runs under, on both backends.
-pub const E20_MAX_STEPS: u64 = 40_000;
-
-/// Builds the replayable case one E20 trial runs: a chaos plan seeded
-/// from `seed`, tailored to algorithm `idx`'s capability arm
-/// ([`crate::xcheck::chaos_arm`]), with the arm's recovery regime
-/// recorded — so `llsc replay` and the hardware side of E20 run exactly
-/// the plan the simulator sweep did.
-pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u64) -> ReproCase {
-    let chaos = ChaosPlan::seeded(seed, n, intensity, 8 * n as u64);
-    let recovery = e20_recovery(idx, n);
-    let (crashes, faults) = crate::xcheck::chaos_arm(&chaos, recovery);
-    let mut case = chaos.to_case(
-        "e20",
-        e20_algorithm(idx, n).name(),
-        n,
-        TossSpec::Seeded(seed),
-        max_events,
-        E20_MAX_STEPS,
-    );
-    case.crashes = crashes;
-    case.faults = faults;
-    case.recovery = recovery;
-    case
-}
-
-/// E20: cross-backend chaos validation, simulator half. Each trial
-/// tailors a seeded [`ChaosPlan`] to its algorithm's capability arm
-/// ([`crate::xcheck::chaos_arm`]): the hardened wakeup trio faces
-/// spurious SC failures and register corruption under an adversarial
-/// random schedule; the recoverable trio faces crash/recovery cycles
-/// plus spurious SC failures. Every trial is classified with the shared
-/// degradation vocabulary and billed under both RMR cost models, so the
-/// table reads as *degradation class and recovery RMR cost vs fault
-/// intensity*. `intensity = 0` trials must recover; a violation panics,
-/// which the panic-isolated sweep reports as a [`TrialFailure`] with an
-/// attached reproducer. Rows and failures merge in index order, so the
-/// output is byte-identical at every thread count.
-///
-/// The hardware half runs the same plans through `llsc-atomics`
-/// (`bench_e20`, `llsc bench`), where crashes are real thread kills and
-/// the fault layer is re-timed onto per-process access clocks.
-pub fn e20_chaos_recovery_sweep(
-    n: usize,
-    intensities: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<E20Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 6;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * intensities.len() * reps);
-    for a in 0..ALGS {
-        for &intensity in intensities {
-            for rep in 0..reps {
-                items.push((a, intensity, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e20_algorithm(a, n).name().to_string())
-        .collect();
-    let outcomes = sweep.run_fallible(
-        &items,
-        |trial, &(a, intensity, _rep)| {
-            let alg = e20_algorithm(a, n);
-            let case = e20_case(a, n, intensity, trial.seed, max_events);
-            let run = crate::repro::run_case_with(&case, alg.as_ref());
-            if intensity == 0 {
-                assert!(
-                    run.class == "recovered",
-                    "{}: chaos-free trial must recover, got {} ({}) (seed {:#018x})",
-                    names[a],
-                    run.class,
-                    run.outcome_debug,
-                    trial.seed
-                );
-            }
-            // Re-execute for the cost counters (run_case_with classifies
-            // but does not bill); the replay is deterministic, so the
-            // second drive sees the identical run.
-            let replayed = llsc_shmem::repro::execute(&case, alg.as_ref());
-            let counters = replayed.exec.run().counters();
-            let (spurious_sc, corruptions) = match replayed.outcome {
-                RunOutcome::FaultInjected {
-                    spurious_sc,
-                    corruptions,
-                } => (spurious_sc, corruptions),
-                _ => (0, 0),
-            };
-            (
-                run.class,
-                counters.total_crashes(),
-                counters.total_recoveries(),
-                spurious_sc,
-                corruptions,
-                counters.total_cc_rmrs(),
-                counters.total_dsm_rmrs(),
-            )
-        },
-        |trial, &(a, intensity, _rep)| {
-            let recovery = e20_recovery(a, n);
-            let arm = if recovery.is_some() {
-                "crash-recovery"
-            } else {
-                "memory-faults"
-            };
-            format!(
-                "alg={} n={n} arm={arm} {} tosses=seeded:{:#018x}",
-                names[a],
-                ChaosPlan::seeded(trial.seed, n, intensity, 8 * n as u64).summary(),
-                trial.seed
-            )
-        },
-    );
-
-    let mut failures = Vec::new();
-    let mut cells: Vec<E20Row> = Vec::new();
-    for ((a, intensity, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.intensity != *intensity)
-        {
-            cells.push(E20Row {
-                algorithm: names[*a].clone(),
-                arm: if *a < 3 {
-                    "memory-faults"
-                } else {
-                    "crash-recovery"
-                },
-                intensity: *intensity,
-                trials: 0,
-                recovered: 0,
-                detected_wrong: 0,
-                silent_wrong: 0,
-                stalled: 0,
-                crashed: 0,
-                aborted: 0,
-                crashes: 0,
-                recoveries: 0,
-                spurious_sc: 0,
-                corruptions: 0,
-                cc_rmrs: 0,
-                dsm_rmrs: 0,
-            });
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        match result {
-            Ok((class, crashes, recoveries, sc, co, cc, dsm)) => {
-                cell.trials += 1;
-                match class.as_str() {
-                    "recovered" => cell.recovered += 1,
-                    "detected-wrong" => cell.detected_wrong += 1,
-                    "silent-wrong" => cell.silent_wrong += 1,
-                    "stalled" => cell.stalled += 1,
-                    "crashed" => cell.crashed += 1,
-                    _ => cell.aborted += 1,
-                }
-                cell.crashes += crashes;
-                cell.recoveries += recoveries;
-                cell.spurious_sc += sc;
-                cell.corruptions += co;
-                cell.cc_rmrs += cc;
-                cell.dsm_rmrs += dsm;
-            }
-            Err(fail) => failures.push(fail),
-        }
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, intensity, _rep) = items[failure.index];
-        e20_case(a, n, intensity, failure.derived_seed, max_events)
-    });
-
-    let mut table = Table::new(e20_title(n, reps), E20_HEADERS);
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.arm.to_string(),
-            r.intensity.to_string(),
-            r.trials.to_string(),
-            r.recovered.to_string(),
-            r.detected_wrong.to_string(),
-            r.silent_wrong.to_string(),
-            r.stalled.to_string(),
-            r.crashed.to_string(),
-            r.aborted.to_string(),
-            r.crashes.to_string(),
-            r.recoveries.to_string(),
-            r.spurious_sc.to_string(),
-            r.corruptions.to_string(),
-            r.cc_rmrs.to_string(),
-            r.dsm_rmrs.to_string(),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degradation::{degradation_sweep, Degradation, DegradationRow, DEFAULT_MAX_EVENTS};
+    use llsc_shmem::{ReproCase, TrialFailure};
+
+    /// Degradation experiment `kind` on one thread.
+    fn sequential(
+        kind: Degradation,
+        n: usize,
+        levels: &[usize],
+        reps: usize,
+        max_events: u64,
+    ) -> (Experiment<DegradationRow>, Vec<TrialFailure>) {
+        degradation_sweep(kind, n, levels, reps, max_events, &Sweep::sequential())
+    }
 
     #[test]
     fn e20_arms_match_family_capabilities_with_zero_silent_wrong() {
-        let (exp, failures) =
-            e20_chaos_recovery_sweep(6, &[0, 2], 2, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = sequential(
+            Degradation::ChaosRecovery,
+            6,
+            &[0, 2],
+            2,
+            DEFAULT_MAX_EVENTS,
+        );
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 12, "6 algorithms x 2 intensities");
         for r in &exp.rows {
@@ -2337,7 +1022,7 @@ mod tests {
                 "{}: RMRs billed",
                 r.algorithm
             );
-            if r.intensity == 0 {
+            if r.level == 0 {
                 assert_eq!(
                     r.recovered, r.trials,
                     "{}: clean trials recover",
@@ -2345,7 +1030,7 @@ mod tests {
                 );
                 assert_eq!((r.crashes, r.spurious_sc, r.corruptions), (0, 0, 0));
             }
-            match r.arm {
+            match r.arm.expect("every E20 row has an arm") {
                 "memory-faults" => {
                     assert_eq!(
                         (r.crashes, r.recoveries),
@@ -2373,34 +1058,22 @@ mod tests {
         let delivered: u64 = exp
             .rows
             .iter()
-            .filter(|r| r.intensity > 0)
+            .filter(|r| r.level > 0)
             .map(|r| r.crashes + r.spurious_sc + r.corruptions)
             .sum();
         assert!(delivered > 0, "intensity-2 cells must deliver faults");
     }
 
     #[test]
-    fn e20_is_identical_across_thread_counts() {
-        let (base, base_f) =
-            e20_chaos_recovery_sweep(6, &[0, 2], 2, 2_000_000, &Sweep::sequential());
-        for threads in [2, 4] {
-            let (par, par_f) =
-                e20_chaos_recovery_sweep(6, &[0, 2], 2, 2_000_000, &Sweep::with_threads(threads));
-            assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
-            assert_eq!(par_f.len(), base_f.len());
-        }
-    }
-
-    #[test]
     fn e19_recovers_crashes_and_bills_rmrs() {
-        let (exp, failures) = e19_recovery_sweep(6, &[0, 2], 3, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = sequential(Degradation::Recovery, 6, &[0, 2], 3, DEFAULT_MAX_EVENTS);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 6, "3 algorithms x 2 crash counts");
         for r in &exp.rows {
             assert!(r.safety_ok, "{}: safety must survive recovery", r.algorithm);
             assert_eq!(r.trials, 3);
             assert_eq!(
-                r.completed + r.crash_reported + r.budget_exhausted,
+                r.completed() + r.crashed + r.stalled,
                 r.trials,
                 "{}: every trial classifies",
                 r.algorithm
@@ -2410,9 +1083,10 @@ mod tests {
                 "{}: RMRs billed",
                 r.algorithm
             );
-            if r.crashed == 0 {
+            if r.level == 0 {
                 assert_eq!(
-                    r.completed, 3,
+                    r.completed(),
+                    3,
                     "{}: crash-free trials complete",
                     r.algorithm
                 );
@@ -2479,7 +1153,7 @@ mod tests {
 
     #[test]
     fn e15_classifies_crash_outcomes_and_stays_safe() {
-        let (exp, failures) = e15_crash_degradation(8, &[0, 2], 3, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = sequential(Degradation::Crash, 8, &[0, 2], 3, DEFAULT_MAX_EVENTS);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 8, "4 algorithms x 2 crash counts");
         let mut stranded = 0;
@@ -2491,19 +1165,20 @@ mod tests {
             );
             assert_eq!(r.trials, 3);
             assert_eq!(
-                r.completed + r.crash_reported + r.budget_exhausted,
+                r.completed() + r.crashed + r.stalled,
                 r.trials,
                 "{}: every trial classifies",
                 r.algorithm
             );
-            if r.crashed == 0 {
+            if r.level == 0 {
                 assert_eq!(
-                    r.completed, 3,
+                    r.completed(),
+                    3,
                     "{}: fault-free trials complete",
                     r.algorithm
                 );
             } else {
-                stranded += r.crash_reported + r.budget_exhausted;
+                stranded += r.crashed + r.stalled;
             }
         }
         // A victim that terminates before its crash point survives, so not
@@ -2513,7 +1188,7 @@ mod tests {
 
     #[test]
     fn e15_starved_budget_surfaces_isolated_failures() {
-        let (exp, failures) = e15_crash_degradation(8, &[0], 2, 10, &Sweep::sequential());
+        let (exp, failures) = sequential(Degradation::Crash, 8, &[0], 2, 10);
         assert!(!failures.is_empty(), "starved k=0 trials must panic");
         assert!(failures
             .iter()
@@ -2528,19 +1203,8 @@ mod tests {
     }
 
     #[test]
-    fn e15_is_identical_across_thread_counts() {
-        let (base, base_f) = e15_crash_degradation(8, &[0, 1], 2, 2_000_000, &Sweep::sequential());
-        for threads in [2, 4] {
-            let (par, par_f) =
-                e15_crash_degradation(8, &[0, 1], 2, 2_000_000, &Sweep::with_threads(threads));
-            assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
-            assert_eq!(par_f.len(), base_f.len());
-        }
-    }
-
-    #[test]
     fn e16_fault_free_trials_recover_at_twin_cost() {
-        let (exp, failures) = e16_fault_degradation(8, &[0], 2, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = sequential(Degradation::MemoryFault, 8, &[0], 2, DEFAULT_MAX_EVENTS);
         // The zero-cost comparison runs inside each trial; a mismatch
         // would surface here as a failure.
         assert!(failures.is_empty(), "{failures:?}");
@@ -2554,7 +1218,8 @@ mod tests {
 
     #[test]
     fn e16_classifies_every_faulty_trial() {
-        let (exp, failures) = e16_fault_degradation(8, &[1, 4], 3, 2_000_000, &Sweep::sequential());
+        let (exp, failures) =
+            sequential(Degradation::MemoryFault, 8, &[1, 4], 3, DEFAULT_MAX_EVENTS);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 12, "6 algorithms x 2 fault budgets");
         let mut injected_total = 0;
@@ -2577,19 +1242,8 @@ mod tests {
     }
 
     #[test]
-    fn e16_is_identical_across_thread_counts() {
-        let (base, base_f) = e16_fault_degradation(8, &[0, 2], 2, 2_000_000, &Sweep::sequential());
-        for threads in [2, 4] {
-            let (par, par_f) =
-                e16_fault_degradation(8, &[0, 2], 2, 2_000_000, &Sweep::with_threads(threads));
-            assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
-            assert_eq!(par_f.len(), base_f.len());
-        }
-    }
-
-    #[test]
     fn e16_starved_budget_surfaces_isolated_failures_with_context() {
-        let (exp, failures) = e16_fault_degradation(8, &[0], 1, 40, &Sweep::sequential());
+        let (exp, failures) = sequential(Degradation::MemoryFault, 8, &[0], 1, 40);
         assert!(!failures.is_empty(), "starved f=0 trials must panic");
         assert!(failures
             .iter()
@@ -2599,7 +1253,7 @@ mod tests {
 
     #[test]
     fn starved_failures_carry_replayable_reproducers() {
-        let (_, failures) = e16_fault_degradation(8, &[0], 1, 40, &Sweep::sequential());
+        let (_, failures) = sequential(Degradation::MemoryFault, 8, &[0], 1, 40);
         assert!(!failures.is_empty(), "starved f=0 trials must panic");
         for f in &failures {
             let json = f.repro.as_ref().expect("failures carry a repro case");
@@ -2618,7 +1272,7 @@ mod tests {
 
     #[test]
     fn e17_classifies_chaos_trials_and_shrinks_reproducers() {
-        let (exp, failures) = e17_chaos_mode(4, &[0, 3], 2, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = sequential(Degradation::Chaos, 4, &[0, 3], 2, DEFAULT_MAX_EVENTS);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 12, "6 algorithms x 2 intensities");
         let mut failing_cells = 0;
@@ -2631,12 +1285,12 @@ mod tests {
                 r.algorithm
             );
             assert_eq!(
-                r.median_shrunk.is_some(),
+                r.median_shrunk().is_some(),
                 r.recovered < r.trials,
                 "{}: the median tracks exactly the failing trials",
                 r.algorithm
             );
-            if r.intensity == 0 {
+            if r.level == 0 {
                 assert_eq!(
                     r.recovered, r.trials,
                     "{}: chaos-free trials recover",
@@ -2649,15 +1303,54 @@ mod tests {
         assert!(failing_cells > 0, "intensity-3 chaos must break something");
     }
 
+    /// One small grid of `kind`: every table and every failure (with its
+    /// context and attached reproducer) merges in index order, at a
+    /// healthy budget and at a starved one that fails trials.
+    fn assert_identical_across_thread_counts(
+        kind: Degradation,
+        n: usize,
+        levels: [usize; 2],
+        reps: usize,
+    ) {
+        for max_events in [DEFAULT_MAX_EVENTS, 60] {
+            let run = |sweep: &Sweep| {
+                let (exp, failures) = degradation_sweep(kind, n, &levels, reps, max_events, sweep);
+                (exp.table.render_json(), exp.rows, failures)
+            };
+            let base = run(&Sweep::sequential());
+            for threads in [2, 4] {
+                assert!(
+                    run(&Sweep::with_threads(threads)) == base,
+                    "{} differs at threads={threads}, max_events={max_events}",
+                    kind.tag()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn e15_is_identical_across_thread_counts() {
+        assert_identical_across_thread_counts(Degradation::Crash, 8, [0, 1], 2);
+    }
+
+    #[test]
+    fn e16_is_identical_across_thread_counts() {
+        assert_identical_across_thread_counts(Degradation::MemoryFault, 8, [0, 2], 2);
+    }
+
     #[test]
     fn e17_is_identical_across_thread_counts() {
-        let (base, base_f) = e17_chaos_mode(4, &[0, 2], 1, 2_000_000, &Sweep::sequential());
-        for threads in [2, 4] {
-            let (par, par_f) =
-                e17_chaos_mode(4, &[0, 2], 1, 2_000_000, &Sweep::with_threads(threads));
-            assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
-            assert_eq!(par_f.len(), base_f.len());
-        }
+        assert_identical_across_thread_counts(Degradation::Chaos, 4, [0, 2], 1);
+    }
+
+    #[test]
+    fn e19_is_identical_across_thread_counts() {
+        assert_identical_across_thread_counts(Degradation::Recovery, 6, [0, 2], 2);
+    }
+
+    #[test]
+    fn e20_is_identical_across_thread_counts() {
+        assert_identical_across_thread_counts(Degradation::ChaosRecovery, 6, [0, 2], 2);
     }
 
     #[test]

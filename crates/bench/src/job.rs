@@ -42,7 +42,9 @@
 //! <dir>/manifest.json              status, chunk ledger, failures
 //! ```
 
-use crate::experiments::{e20_title, E13_TITLE, E20_HEADERS, E4_TITLE, E6_TITLE};
+use crate::degradation::{Degradation, TrialResult, DEFAULT_MAX_EVENTS};
+use crate::experiments::{E13_TITLE, E4_TITLE, E6_TITLE};
+use crate::repro::CaseCounters;
 use crate::table::Table;
 use llsc_core::{
     indist_subset_range, report_from_samples, sample_expectation, AdversaryConfig,
@@ -324,7 +326,10 @@ impl JobSpec {
             // trio (crash-recovery arm); e20 validates ns.len() == 1.
             JobExperiment::E20 => {
                 let n = self.ns.first().copied().unwrap_or(2);
-                (0..6).map(|a| crate::e20_algorithm(a, n)).collect()
+                let kind = Degradation::ChaosRecovery;
+                (0..kind.algorithm_count())
+                    .map(|a| kind.algorithm(a, n))
+                    .collect()
             }
         }
     }
@@ -371,7 +376,7 @@ impl JobSpec {
                     }
                 }
             }
-            // Matches the item order of `e20_chaos_recovery_sweep`:
+            // Matches the item order of `degradation_sweep`:
             // algorithm-major, then intensity, then repetition — so the
             // flat index space (and with it every derived trial seed)
             // lines up with the table binary's.
@@ -913,7 +918,7 @@ fn run_chunk_guarded(
             message,
         },
         Err(panic) => {
-            let message = panic_message(panic.as_ref());
+            let message = llsc_shmem::panic_message(panic.as_ref());
             if interrupted {
                 AttemptOutcome::Interrupted
             } else if timed_out {
@@ -930,21 +935,6 @@ fn run_chunk_guarded(
         }
     }
 }
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The per-trial event budget E20 job trials run under when the spec
-/// does not override it — the same default as `table_e20`, so the job
-/// artifact matches the binary's byte for byte.
-const E20_DEFAULT_MAX_EVENTS: u64 = 2_000_000;
 
 /// Executes the trials `start .. start + len` of the job's flat index
 /// space and returns their records in index order.
@@ -1020,28 +1010,24 @@ fn run_chunk_body(
                 }));
             }
             JobExperiment::E20 => {
+                let kind = Degradation::ChaosRecovery;
                 let max_events = if spec.max_events > 0 {
                     spec.max_events
                 } else {
-                    E20_DEFAULT_MAX_EVENTS
+                    DEFAULT_MAX_EVENTS
                 };
                 // Trial identity is the global index alone (`run_range`
                 // derives each seed from `(sweep seed, global index)`),
                 // so chunked execution reproduces exactly the trials
-                // `e20_chaos_recovery_sweep` runs — same cases, same
-                // classes, same counters.
+                // `degradation_sweep` runs — same cases, same classes,
+                // same counters — unless the spec overrides the
+                // crash-recovery arm's knobs.
                 let chunk = sweep.run_range(
                     lo..hi,
                     || (),
                     |(), trial| {
-                        let alg = crate::e20_algorithm(cell.alg, cell.n);
-                        let mut case = crate::e20_case(
-                            cell.alg,
-                            cell.n,
-                            cell.intensity,
-                            trial.seed,
-                            max_events,
-                        );
+                        let mut case =
+                            kind.case(cell.alg, cell.n, cell.intensity, trial.seed, max_events);
                         if let Some(recovery) = case.recovery.as_mut() {
                             if spec.recovery_delay > 0 {
                                 recovery.delay = spec.recovery_delay;
@@ -1050,56 +1036,23 @@ fn run_chunk_body(
                                 recovery.budget = spec.respawn_budget;
                             }
                         }
-                        let run = crate::repro::run_case_with(&case, alg.as_ref());
-                        if cell.intensity == 0 {
-                            assert!(
-                                run.class == "recovered",
-                                "{}: chaos-free trial must recover, got {} ({}) (seed {:#018x})",
-                                alg.name(),
-                                run.class,
-                                run.outcome_debug,
-                                trial.seed
-                            );
-                        }
-                        // Re-execute for the cost counters (run_case_with
-                        // classifies but does not bill); the replay is
-                        // deterministic, so the second drive sees the
-                        // identical run.
-                        let replayed = llsc_shmem::repro::execute(&case, alg.as_ref());
-                        let counters = replayed.exec.run().counters();
-                        let (spurious_sc, corruptions) = match replayed.outcome {
-                            llsc_shmem::RunOutcome::FaultInjected {
-                                spurious_sc,
-                                corruptions,
-                            } => (spurious_sc, corruptions),
-                            _ => (0, 0),
-                        };
-                        (
-                            run.class,
-                            counters.total_crashes(),
-                            counters.total_recoveries(),
-                            spurious_sc,
-                            corruptions,
-                            counters.total_cc_rmrs(),
-                            counters.total_dsm_rmrs(),
-                        )
+                        kind.trial(cell.alg, cell.intensity, trial.seed, &case)
                     },
                 );
-                records.extend(chunk.into_iter().enumerate().map(
-                    |(i, (class, crashes, recoveries, spurious_sc, corruptions, cc, dsm))| {
-                        TrialRecord::Chaos {
-                            index: lo + i,
-                            cell: cell_index,
-                            class,
-                            crashes,
-                            recoveries,
-                            spurious_sc,
-                            corruptions,
-                            cc_rmrs: cc,
-                            dsm_rmrs: dsm,
-                        }
-                    },
-                ));
+                records.extend(chunk.into_iter().enumerate().map(|(i, t)| {
+                    let c = t.counters;
+                    TrialRecord::Chaos {
+                        index: lo + i,
+                        cell: cell_index,
+                        class: t.class,
+                        crashes: c.crashes,
+                        recoveries: c.recoveries,
+                        spurious_sc: c.spurious_sc,
+                        corruptions: c.corruptions,
+                        cc_rmrs: c.cc_rmrs,
+                        dsm_rmrs: c.dsm_rmrs,
+                    }
+                }));
             }
         }
     }
@@ -1266,26 +1219,22 @@ fn assemble(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
             table
         }
         JobExperiment::E20 => {
+            let kind = Degradation::ChaosRecovery;
             let n = spec.ns.first().copied().unwrap_or(2);
-            let mut table = Table::new(e20_title(n, spec.samples as usize), E20_HEADERS);
             // One job cell per `(algorithm, intensity)` — exactly the
-            // grouping `e20_chaos_recovery_sweep` accumulates, so a
-            // complete job's rows match the table binary's byte for
-            // byte.
+            // cells `degradation_sweep` tallies, so a complete job's rows
+            // match the table binary's byte for byte.
+            let mut rows = Vec::new();
             for (cell_index, cell) in cells.iter().enumerate() {
-                let alg = algs[cell.alg].name();
                 if !complete(cell_index) {
-                    incomplete.push(format!("alg={alg} intensity={}", cell.intensity));
+                    incomplete.push(format!(
+                        "alg={} intensity={}",
+                        algs[cell.alg].name(),
+                        cell.intensity
+                    ));
                     continue;
                 }
-                let arm = if cell.alg < 3 {
-                    "memory-faults"
-                } else {
-                    "crash-recovery"
-                };
-                let mut trials = 0usize;
-                let mut classes = [0usize; 6]; // recovered, detected, silent, stalled, crashed, aborted
-                let mut sums = [0u64; 6]; // crashes, recoveries, sc, corruptions, cc, dsm
+                let mut row = kind.row(cell.alg, n, cell.intensity);
                 for record in &by_cell[cell_index] {
                     if let TrialRecord::Chaos {
                         class,
@@ -1298,48 +1247,27 @@ fn assemble(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
                         ..
                     } = record
                     {
-                        trials += 1;
-                        let slot = match class.as_str() {
-                            "recovered" => 0,
-                            "detected-wrong" => 1,
-                            "silent-wrong" => 2,
-                            "stalled" => 3,
-                            "crashed" => 4,
-                            _ => 5,
-                        };
-                        classes[slot] += 1;
-                        for (sum, value) in sums.iter_mut().zip([
-                            *crashes,
-                            *recoveries,
-                            *spurious_sc,
-                            *corruptions,
-                            *cc_rmrs,
-                            *dsm_rmrs,
-                        ]) {
-                            *sum += value;
-                        }
+                        // A checkpoint keeps what the E20 table shows:
+                        // the class and the cost counters.
+                        row.tally(&TrialResult {
+                            class: class.clone(),
+                            safe: true,
+                            counters: CaseCounters {
+                                crashes: *crashes,
+                                recoveries: *recoveries,
+                                spurious_sc: *spurious_sc,
+                                corruptions: *corruptions,
+                                cc_rmrs: *cc_rmrs,
+                                dsm_rmrs: *dsm_rmrs,
+                                ..CaseCounters::default()
+                            },
+                            shrunk: None,
+                        });
                     }
                 }
-                table.row([
-                    alg.to_string(),
-                    arm.to_string(),
-                    cell.intensity.to_string(),
-                    trials.to_string(),
-                    classes[0].to_string(),
-                    classes[1].to_string(),
-                    classes[2].to_string(),
-                    classes[3].to_string(),
-                    classes[4].to_string(),
-                    classes[5].to_string(),
-                    sums[0].to_string(),
-                    sums[1].to_string(),
-                    sums[2].to_string(),
-                    sums[3].to_string(),
-                    sums[4].to_string(),
-                    sums[5].to_string(),
-                ]);
+                rows.push(row);
             }
-            table
+            kind.table(n, spec.samples as usize, &rows)
         }
     };
     (table, incomplete)
@@ -1870,8 +1798,14 @@ mod tests {
         let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
         assert_eq!(report.status, JobStatus::Complete);
         let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-        let (direct, failures) =
-            crate::e20_chaos_recovery_sweep(4, &[0, 2], 2, 2_000_000, &Sweep::sequential());
+        let (direct, failures) = crate::degradation_sweep(
+            Degradation::ChaosRecovery,
+            4,
+            &[0, 2],
+            2,
+            DEFAULT_MAX_EVENTS,
+            &Sweep::sequential(),
+        );
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(
             artifact,
@@ -1993,7 +1927,7 @@ mod tests {
         let token = sweep.cancel.as_ref().expect("the attempt carries a token");
         loop {
             if token.load(Ordering::SeqCst) {
-                panic!("sweep cancelled after 0 recorded events");
+                std::panic::panic_any(llsc_shmem::TrialAbort::Cancelled { events: 0 });
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -2012,7 +1946,13 @@ mod tests {
         let timeout = Some(Duration::from_millis(30));
         let outcome = run_chunk_guarded(timeout, &interrupt, Sweep::sequential(), polling_body);
         match outcome {
-            AttemptOutcome::Failed { kind, .. } => assert_eq!(kind, "timeout"),
+            AttemptOutcome::Failed { kind, message } => {
+                assert_eq!(kind, "timeout");
+                assert!(
+                    message.contains("sweep cancelled after 0 recorded events"),
+                    "{message}"
+                );
+            }
             _ => panic!("expected a timeout failure"),
         }
     }

@@ -19,6 +19,12 @@
 //! | `table_e15` | E15 | crash-fault degradation (graceful failure modes) |
 //! | `table_e16` | E16 | memory-fault degradation (hardened algorithms) |
 //! | `table_e17` | E17 | combined chaos mode (crash + memory faults + random schedule) |
+//! | `table_e19` | E19 | recovery cost vs crash intensity (CC/DSM RMRs) |
+//! | `table_e20` | E20 | cross-backend chaos, simulator half |
+//!
+//! The five degradation experiments (E15–E17, E19, E20) share one
+//! driver, [`degradation`]: each trial executes the experiment's own
+//! repro case once.
 //!
 //! Each function returns an [`harness::Experiment`] — the rendered table
 //! plus its typed rows — so integration tests can assert on the numbers
@@ -35,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod degradation;
 pub mod experiments;
 pub mod harness;
 pub mod job;
@@ -42,4 +49,5 @@ pub mod repro;
 pub mod table;
 pub mod xcheck;
 
+pub use degradation::{degradation_sweep, Degradation, DegradationRow, DEFAULT_MAX_EVENTS};
 pub use experiments::*;

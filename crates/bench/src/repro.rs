@@ -3,73 +3,53 @@
 //! `llsc_shmem::repro` serializes, re-executes, and shrinks a
 //! [`ReproCase`] — but a case names its algorithm, and only this crate
 //! knows the experiment algorithm catalog. This module supplies that
-//! glue:
+//! glue, and it is also where every degradation trial (E15–E17, E19,
+//! E20; see [`crate::degradation`]) is executed and classified, so a
+//! trial and the reproducer attached to its failure run the same code:
 //!
-//! * [`resolve_algorithm`] — the name → constructor registry covering
-//!   every algorithm the E15/E16/E17/E19 fault experiments run (including the
-//!   labeled `ObjectWakeup` rows whose display names disambiguate the
-//!   backing universal construction);
-//! * [`run_case`] / [`run_case_with`] — execute a case under panic
-//!   isolation and classify the result into the failure-class vocabulary
-//!   the experiments share: `recovered`, `detected-wrong`,
-//!   `silent-wrong`, `stalled`, `crashed`, `aborted`, `panic`;
-//! * [`shrink_case`] — materialize the case's schedule into an explicit
-//!   pick list and delta-debug it (plus the fault/crash lists) down to a
-//!   minimal reproducer with the same failure class.
+//! * [`resolve_algorithm`] — the name → constructor registry: the
+//!   degradation kinds' catalogs (including the labeled `ObjectWakeup`
+//!   rows whose display names disambiguate the backing universal
+//!   construction);
+//! * `execute_case` — execute a case once and classify the result into
+//!   the failure-class vocabulary the experiments share (`recovered`,
+//!   `detected-wrong`, `silent-wrong`, `stalled`, `crashed`, `aborted`),
+//!   together with the run's counters ([`CaseCounters`]), so nobody
+//!   re-executes a case to bill it;
+//! * [`run_case_with`] / [`run_case`] — the same under panic isolation:
+//!   a panicking execution classifies as `panic`, except a sweep abort
+//!   ([`llsc_shmem::TrialAbort`]: cancel token or trial deadline), which
+//!   keeps unwinding so the sweep records it as a trial failure;
+//! * [`shrink_case`] (and `shrink_run`, which reuses an execution the
+//!   caller already has) — materialize the case's schedule into an
+//!   explicit pick list and delta-debug it (plus the fault/crash lists)
+//!   down to a minimal reproducer with the same failure class.
 //!
 //! The `llsc replay` and `llsc shrink` subcommands are thin wrappers over
 //! these functions.
 
-use crate::experiments::{e15_algorithm, e16_algorithm, e16_unhardened_twin, e19_algorithm};
+use crate::degradation::Degradation;
 use llsc_core::check_wakeup;
 use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
-use llsc_shmem::{Algorithm, ProcessId, RunOutcome};
+use llsc_shmem::{Algorithm, ProcessId, RunOutcome, TrialAbort};
 use llsc_wakeup::check_mutex_tokens;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Resolves an algorithm name recorded in a [`ReproCase`] back to a
 /// constructor, or `None` for an unknown name.
 ///
-/// The registry scans the experiment catalogs in a fixed order (E16
-/// hardened algorithms and their labeled `ObjectWakeup` rows, then the
-/// E15 algorithms, then the E19 recoverable algorithms, then the
-/// unhardened twins), so a name that appears in
-/// several catalogs — e.g. `counter-wakeup`, which E15 runs directly and
-/// E16 uses as a twin — resolves to the same construction every time.
+/// The registry scans the degradation kinds' catalogs in a fixed order
+/// (`Degradation::REGISTRY_ORDER`: E16's hardened algorithms with
+/// their labeled `ObjectWakeup` rows, then E15, E19, and E17 with its
+/// unhardened twins), so a name that appears in several catalogs — e.g.
+/// `counter-wakeup`, which E15 runs directly and E17 as a twin —
+/// resolves to the same construction every time.
 pub fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
-    match name {
-        "wakeup-from-fetch&increment[hardened-direct-llsc]" => return Some(e16_algorithm(3, n)),
-        "wakeup-from-fetch&increment[hardened-combining-tree]" => return Some(e16_algorithm(4, n)),
-        "wakeup-from-fetch&increment[hardened-adt-group-update]" => {
-            return Some(e16_algorithm(5, n))
-        }
-        _ => {}
-    }
-    for idx in 0..3 {
-        let alg = e16_algorithm(idx, n);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    for idx in 0..4 {
-        let alg = e15_algorithm(idx, n);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    for idx in 0..3 {
-        let alg = e19_algorithm(idx);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    for idx in 0..3 {
-        let alg = e16_unhardened_twin(idx, n);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    None
+    Degradation::REGISTRY_ORDER.iter().find_map(|kind| {
+        (0..kind.algorithm_count())
+            .find(|&idx| kind.label(idx, n) == name)
+            .map(|idx| kind.algorithm(idx, n))
+    })
 }
 
 /// Classifies a completed (non-panicking) execution into the shared
@@ -95,72 +75,131 @@ pub fn classify(outcome: &RunOutcome, safe: bool, detected: u64) -> &'static str
     }
 }
 
+/// What one case execution cost and suffered, read off the executor
+/// after the drive.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CaseCounters {
+    /// Shared-memory accesses, all processes together.
+    pub ops: u64,
+    /// Faults the fault plan delivered (spurious SC failures plus
+    /// corruptions), whether or not the run terminated.
+    pub injected: u64,
+    /// Detections published to the hardened telemetry registers.
+    pub detected: u64,
+    /// Crashes delivered (re-crashes included).
+    pub crashes: u64,
+    /// Recoveries performed.
+    pub recoveries: u64,
+    /// Spurious SC failures a terminated run reports in its
+    /// [`RunOutcome::FaultInjected`] outcome (0 for any other outcome).
+    pub spurious_sc: u64,
+    /// Register corruptions a terminated run reports in its
+    /// [`RunOutcome::FaultInjected`] outcome (0 for any other outcome).
+    pub corruptions: u64,
+    /// Remote memory references under the cache-coherent model.
+    pub cc_rmrs: u64,
+    /// Remote memory references under the DSM model.
+    pub dsm_rmrs: u64,
+    /// The worst per-process shared-access count.
+    pub max_ops: u64,
+    /// The worst per-process DSM RMR count.
+    pub max_dsm_rmrs: u64,
+}
+
 /// The classified result of one case execution.
 #[derive(Clone, Debug)]
 pub struct CaseRun {
-    /// The replayed [`RunOutcome`] in `Debug` form — the string replay
-    /// compares byte-for-byte against [`ReproCase::outcome`] — or
-    /// `"panic"` when the execution panicked.
+    /// The replayed [`RunOutcome`]; `None` when the execution panicked.
+    pub outcome: Option<RunOutcome>,
+    /// The outcome in `Debug` form — the string replay compares
+    /// byte-for-byte against [`ReproCase::outcome`] — or `"panic"` when
+    /// the execution panicked.
     pub outcome_debug: String,
     /// The failure class (see [`classify`]; `"panic"` for panicking
     /// executions).
     pub class: String,
     /// The explicit schedule trace of the execution (empty on panic).
     pub trace: Vec<ProcessId>,
-    /// Detections published to the hardened telemetry registers.
-    pub detected: u64,
-    /// Whether the recorded run satisfied the wakeup specification.
+    /// Whether the recorded run satisfied its safety property: token
+    /// distinctness for the recoverable mutex, the wakeup specification
+    /// for everything else.
     pub safe: bool,
+    /// The run's counters (all zero on panic).
+    pub counters: CaseCounters,
 }
 
-/// Executes `case` against an already-resolved algorithm, under panic
-/// isolation, and classifies the result.
+/// Executes `case` once against an already-resolved algorithm and
+/// classifies the result. Panics — including a sweep abort — propagate;
+/// [`run_case_with`] is the isolated variant.
+pub(crate) fn execute_case(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
+    let replayed = execute(case, alg);
+    let exec = &replayed.exec;
+    // Telemetry from both hardened families: the hardened wakeup
+    // algorithms publish at one base, the hardened universal
+    // constructions at another.
+    let detected: u64 = (0..case.n)
+        .map(ProcessId)
+        .map(|p| {
+            let wakeup = exec.memory().peek(llsc_wakeup::hardened_detect_reg(p));
+            let universal = exec.memory().peek(llsc_universal::hardened_detect_reg(p));
+            wakeup.as_int().unwrap_or(0).max(0) as u64
+                + universal.as_int().unwrap_or(0).max(0) as u64
+        })
+        .sum();
+    // The recoverable mutex returns tokens, not wakeup bits: judge it on
+    // token distinctness instead of the wakeup conditions.
+    let safe = if case.algorithm == "recoverable-mutex" {
+        check_mutex_tokens((0..case.n).map(|i| exec.verdict(ProcessId(i))), case.n).is_ok()
+    } else {
+        check_wakeup(exec.run()).ok()
+    };
+    let totals = exec.run().counters();
+    let (spurious_sc, corruptions) = match replayed.outcome {
+        RunOutcome::FaultInjected {
+            spurious_sc,
+            corruptions,
+        } => (spurious_sc, corruptions),
+        _ => (0, 0),
+    };
+    let counters = CaseCounters {
+        ops: exec.memory().stats().total(),
+        injected: exec.fault_stats().total(),
+        detected,
+        crashes: totals.total_crashes(),
+        recoveries: totals.total_recoveries(),
+        spurious_sc,
+        corruptions,
+        cc_rmrs: totals.total_cc_rmrs(),
+        dsm_rmrs: totals.total_dsm_rmrs(),
+        max_ops: totals.max_ops(),
+        max_dsm_rmrs: totals.dsm_rmrs.iter().copied().max().unwrap_or(0),
+    };
+    CaseRun {
+        outcome_debug: format!("{:?}", replayed.outcome),
+        class: classify(&replayed.outcome, safe, detected).to_string(),
+        outcome: Some(replayed.outcome),
+        trace: replayed.trace,
+        safe,
+        counters,
+    }
+}
+
+/// `execute_case` under panic isolation: a panicking execution
+/// classifies as `"panic"`. A [`TrialAbort`] — the enclosing sweep's
+/// cancel token or trial deadline firing mid-execution — is not a
+/// property of the case, so it is never classified: it resumes
+/// unwinding into the sweep, which records it as a trial failure.
 pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
-    let replayed = catch_unwind(AssertUnwindSafe(|| {
-        let replayed = execute(case, alg);
-        // Telemetry from both hardened families, exactly as E16 reads it.
-        let detected: u64 = (0..case.n)
-            .map(ProcessId)
-            .map(|p| {
-                let wakeup = replayed
-                    .exec
-                    .memory()
-                    .peek(llsc_wakeup::hardened_detect_reg(p));
-                let universal = replayed
-                    .exec
-                    .memory()
-                    .peek(llsc_universal::hardened_detect_reg(p));
-                wakeup.as_int().unwrap_or(0).max(0) as u64
-                    + universal.as_int().unwrap_or(0).max(0) as u64
-            })
-            .sum();
-        // The recoverable mutex returns tokens, not wakeup bits: judge it
-        // on token distinctness instead of the wakeup conditions.
-        let safe = if case.algorithm == "recoverable-mutex" {
-            check_mutex_tokens(
-                (0..case.n).map(|i| replayed.exec.verdict(ProcessId(i))),
-                case.n,
-            )
-            .is_ok()
-        } else {
-            check_wakeup(replayed.exec.run()).ok()
-        };
-        (replayed.outcome, replayed.trace, detected, safe)
-    }));
-    match replayed {
-        Ok((outcome, trace, detected, safe)) => CaseRun {
-            outcome_debug: format!("{outcome:?}"),
-            class: classify(&outcome, safe, detected).to_string(),
-            trace,
-            detected,
-            safe,
-        },
+    match catch_unwind(AssertUnwindSafe(|| execute_case(case, alg))) {
+        Ok(run) => run,
+        Err(payload) if payload.is::<TrialAbort>() => resume_unwind(payload),
         Err(_) => CaseRun {
+            outcome: None,
             outcome_debug: "panic".to_string(),
             class: "panic".to_string(),
             trace: Vec::new(),
-            detected: 0,
             safe: false,
+            counters: CaseCounters::default(),
         },
     }
 }
@@ -178,17 +217,8 @@ pub fn run_case(case: &ReproCase) -> Result<CaseRun, String> {
 }
 
 /// Materializes and delta-debugs `case` down to a minimal reproducer
-/// with the same failure class.
-///
-/// The baseline execution both (re)establishes the failure class — the
-/// shrink target — and records the explicit schedule trace. If replaying
-/// that trace preserves the class (it does whenever the case is
-/// deterministic, which every seeded case is), the named schedule is
-/// swapped for the explicit one so the schedule and process-set passes
-/// have something to chew on; otherwise shrinking falls back to the
-/// fault/crash lists alone. The returned report's case has its outcome
-/// and class fields refreshed from the minimal reproducer's own
-/// execution.
+/// with the same failure class; `shrink_run` after resolving the
+/// algorithm by name and executing the baseline.
 ///
 /// # Errors
 ///
@@ -196,8 +226,28 @@ pub fn run_case(case: &ReproCase) -> Result<CaseRun, String> {
 pub fn shrink_case(case: &ReproCase, max_replays: usize) -> Result<ShrinkReport, String> {
     let alg = resolve_algorithm(&case.algorithm, case.n)
         .ok_or_else(|| format!("unknown algorithm {:?}", case.algorithm))?;
-    let alg = alg.as_ref();
-    let baseline = run_case_with(case, alg);
+    let baseline = run_case_with(case, alg.as_ref());
+    Ok(shrink_run(case, alg.as_ref(), &baseline, max_replays))
+}
+
+/// Delta-debugs `case`, whose execution against `alg` is `baseline`,
+/// down to a minimal reproducer with the same failure class.
+///
+/// The baseline both (re)establishes the failure class — the shrink
+/// target — and supplies the explicit schedule trace. If replaying that
+/// trace preserves the class (it does whenever the case is
+/// deterministic, which every seeded case is), the named schedule is
+/// swapped for the explicit one so the schedule and process-set passes
+/// have something to chew on; otherwise shrinking falls back to the
+/// fault/crash lists alone. The returned report's case has its outcome
+/// and class fields refreshed from the minimal reproducer's own
+/// execution.
+pub(crate) fn shrink_run(
+    case: &ReproCase,
+    alg: &dyn Algorithm,
+    baseline: &CaseRun,
+    max_replays: usize,
+) -> ShrinkReport {
     let target = baseline.class.clone();
     let mut prelude = Vec::new();
     if !case.class.is_empty() && case.class != target {
@@ -237,7 +287,7 @@ pub fn shrink_case(case: &ReproCase, max_replays: usize) -> Result<ShrinkReport,
     report.case.class = final_run.class;
     prelude.append(&mut report.log);
     report.log = prelude;
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
@@ -256,7 +306,7 @@ mod tests {
             crashes: CrashPlan::none(),
             recovery: None,
             faults: FaultPlan::none(),
-            max_events: 2_000_000,
+            max_events: crate::DEFAULT_MAX_EVENTS,
             max_steps: 40_000,
             outcome: String::new(),
             class: String::new(),
@@ -274,21 +324,12 @@ mod tests {
         for name in labeled {
             assert!(resolve_algorithm(name, 4).is_some(), "{name}");
         }
-        for idx in 0..4 {
-            let name = e15_algorithm(idx, 4).name().to_string();
-            let resolved = resolve_algorithm(&name, 4).expect("e15 name resolves");
-            assert_eq!(resolved.name(), name);
-        }
-        for idx in 0..3 {
-            let name = e16_algorithm(idx, 4).name().to_string();
-            assert!(resolve_algorithm(&name, 4).is_some(), "{name}");
-            let twin = e16_unhardened_twin(idx, 4).name().to_string();
-            assert!(resolve_algorithm(&twin, 4).is_some(), "{twin}");
-        }
-        for idx in 0..3 {
-            let name = e19_algorithm(idx).name().to_string();
-            let resolved = resolve_algorithm(&name, 4).expect("e19 name resolves");
-            assert_eq!(resolved.name(), name);
+        for kind in Degradation::ALL {
+            for idx in 0..kind.algorithm_count() {
+                let label = kind.label(idx, 4);
+                let resolved = resolve_algorithm(&label, 4).expect("catalog names resolve");
+                assert_eq!(resolved.name(), kind.algorithm(idx, 4).name(), "{label}");
+            }
         }
         assert!(resolve_algorithm("no-such-algorithm", 4).is_none());
     }

@@ -464,10 +464,6 @@ pub fn xcheck_universal(
     ))
 }
 
-/// Event budget the simulator side of a chaos cross-validation runs
-/// under (the harness's standard budget).
-const CHAOS_SIM_MAX_EVENTS: u64 = 2_000_000;
-
 /// One chaos trial's verdict: the hardware backend under the full fault
 /// stack (injected SC failures, register corruption, and — for
 /// crash-recoverable algorithms — killed and respawned threads).
@@ -610,7 +606,7 @@ fn chaos_run_safe(alg_name: &str, run: &HwRun, n: usize) -> bool {
 
 /// Detections published to the hardened telemetry registers, read off
 /// the hardware memory exactly as the simulator experiments read their
-/// executor ([`crate::repro::run_case_with`]).
+/// executor ([`crate::repro::execute_case`]).
 fn hw_detected(mem: &HwMemory, n: usize) -> u64 {
     (0..n)
         .map(ProcessId)
@@ -810,7 +806,7 @@ pub fn xcheck_chaos(
             alg.name(),
             n,
             TossSpec::Seeded(seed),
-            CHAOS_SIM_MAX_EVENTS,
+            crate::DEFAULT_MAX_EVENTS,
             cfg.max_steps,
         );
         case.crashes = crashes.clone();

@@ -4,6 +4,7 @@
 //! strictly smaller reproducer with the same failure class.
 
 use llsc_bench::repro::{run_case, shrink_case};
+use llsc_bench::{degradation_sweep, Degradation};
 use llsc_shmem::repro::ReproCase;
 use llsc_shmem::Sweep;
 
@@ -12,7 +13,14 @@ use llsc_shmem::Sweep;
 /// pipeline.
 #[test]
 fn starved_e16_failures_replay_and_shrink() {
-    let (_, failures) = llsc_bench::e16_fault_degradation(8, &[0], 1, 40, &Sweep::sequential());
+    let (_, failures) = degradation_sweep(
+        Degradation::MemoryFault,
+        8,
+        &[0],
+        1,
+        40,
+        &Sweep::sequential(),
+    );
     assert!(!failures.is_empty(), "starved f=0 trials must fail");
 
     for failure in &failures {
@@ -76,7 +84,7 @@ fn starved_e16_failures_replay_and_shrink() {
 #[test]
 fn retried_failures_attach_the_final_attempt_seed() {
     let sweep = Sweep::sequential().with_retries(2);
-    let (_, failures) = llsc_bench::e16_fault_degradation(8, &[0], 1, 40, &sweep);
+    let (_, failures) = degradation_sweep(Degradation::MemoryFault, 8, &[0], 1, 40, &sweep);
     assert!(!failures.is_empty(), "starvation fails at every retry seed");
     for failure in &failures {
         assert_eq!(failure.attempts, 3, "all retries were spent");

@@ -122,5 +122,5 @@ pub use scheduler::{
     ListScheduler, PartitionScheduler, RandomScheduler, RecordingScheduler, RoundRobinScheduler,
     Scheduler, SequentialScheduler,
 };
-pub use sweep::{Sweep, Trial, TrialFailure};
+pub use sweep::{panic_message, Sweep, Trial, TrialAbort, TrialFailure};
 pub use value::Value;

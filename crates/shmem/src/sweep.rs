@@ -64,8 +64,8 @@ pub struct TrialFailure {
     /// actionable — replayable under the right seed — without re-deriving
     /// the retry chain.
     pub derived_seed: u64,
-    /// The panic payload of the last attempt, stringified (`&str`/`String`
-    /// payloads verbatim; anything else is labelled opaque).
+    /// The panic payload of the last attempt, rendered by
+    /// [`panic_message`].
     pub payload: String,
     /// Experiment-provided reproduction context (for example the trial's
     /// fault/crash plan summary); empty when the sweep attached none.
@@ -104,12 +104,54 @@ impl fmt::Display for TrialFailure {
 /// slot costs no more than the trial's output.
 type Outcome<T> = Result<T, Box<TrialFailure>>;
 
-/// Stringifies a panic payload (the `Box<dyn Any>` from `catch_unwind`).
-fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Why a trial was stopped from outside: the payload a trial attempt
+/// unwinds with when its sweep's cancel token is raised or its
+/// wall-clock deadline passes (see [`Sweep::cancel`] and
+/// [`Sweep::trial_timeout`]).
+///
+/// The payload is typed so code that isolates panics *inside* a trial
+/// (a classifier turning an algorithm's panic into an outcome class) can
+/// tell an abort apart from a failure of the run itself and hand it on
+/// with [`std::panic::resume_unwind`]; its [`fmt::Display`] form is what
+/// the sweep records as the [`TrialFailure::payload`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrialAbort {
+    /// The sweep's cancel token was raised.
+    Cancelled {
+        /// Events the trial's executor had recorded at the poll.
+        events: u64,
+    },
+    /// The trial's wall-clock deadline passed.
+    DeadlineExceeded {
+        /// Events the trial's executor had recorded at the poll.
+        events: u64,
+    },
+}
+
+impl fmt::Display for TrialAbort {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrialAbort::Cancelled { events } => {
+                write!(f, "sweep cancelled after {events} recorded events")
+            }
+            TrialAbort::DeadlineExceeded { events } => write!(
+                f,
+                "trial wall-clock deadline exceeded after {events} recorded events"
+            ),
+        }
+    }
+}
+
+/// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind` or a
+/// thread join): `&str` and `String` payloads verbatim, a [`TrialAbort`]
+/// in its display form, anything else as an opaque label.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
+    } else if let Some(abort) = payload.downcast_ref::<TrialAbort>() {
+        abort.to_string()
     } else {
         "<non-string panic payload>".to_string()
     }
@@ -136,10 +178,10 @@ thread_local! {
 
 /// Polls the running trial's cancel token and deadline; called from
 /// long-running loops inside a trial (the executor's event guard does,
-/// every 512 events). Panics — into the trial's [`TrialFailure`] — when
-/// the token is raised or the deadline has passed. A no-op on threads
-/// with nothing armed, so code under test or outside sweeps is
-/// unaffected.
+/// every 512 events). Unwinds with a [`TrialAbort`] payload — into the
+/// trial's [`TrialFailure`] — when the token is raised or the deadline
+/// has passed. A no-op on threads with nothing armed, so code under test
+/// or outside sweeps is unaffected.
 pub(crate) fn check_trial_deadline(events: u64) {
     let (cancelled, expired) = ARMED.with_borrow(|a| {
         (
@@ -147,11 +189,13 @@ pub(crate) fn check_trial_deadline(events: u64) {
             a.deadline.is_some_and(|t| Instant::now() >= t),
         )
     });
+    // `resume_unwind` skips the panic hook: an abort is not a bug, and
+    // the failure row already carries its message.
     if cancelled {
-        panic!("sweep cancelled after {events} recorded events");
+        std::panic::resume_unwind(Box::new(TrialAbort::Cancelled { events }));
     }
     if expired {
-        panic!("trial wall-clock deadline exceeded after {events} recorded events");
+        std::panic::resume_unwind(Box::new(TrialAbort::DeadlineExceeded { events }));
     }
 }
 
@@ -433,7 +477,7 @@ impl Sweep {
             match catch_unwind(AssertUnwindSafe(|| f(scratch, attempt))) {
                 Ok(out) => return Ok(out),
                 Err(p) => {
-                    payload = Some(payload_string(p));
+                    payload = Some(panic_message(p.as_ref()));
                     *scratch = init();
                 }
             }
@@ -613,7 +657,7 @@ mod tests {
                     sweep.run(&items, |_, &x| f(x))
                 }
             }));
-            let msg = payload_string(result.unwrap_err());
+            let msg = panic_message(result.unwrap_err().as_ref());
             assert!(msg.contains("trial 5"), "scratch={scratch}: {msg}");
             assert!(msg.contains("boom 5"), "scratch={scratch}: {msg}");
             assert_eq!(
@@ -818,7 +862,7 @@ mod tests {
                     .with_trial_timeout(Duration::from_millis(10))
                     .run_range(0..2, || (), |(), t| if t.index == 0 { 0 } else { hang() })
             }));
-            let payload = payload_string(result.unwrap_err());
+            let payload = panic_message(result.unwrap_err().as_ref());
             assert!(
                 payload.contains("trial 1") && payload.contains("wall-clock deadline exceeded"),
                 "threads={threads}: {payload}"

@@ -98,8 +98,11 @@ impl Algorithm for TournamentWakeup {
 
 fn climb(n: usize, child: u64, bits: Vec<u64>) -> Step {
     if child == 1 {
-        // Survived every meeting: the bitset must cover everyone.
-        debug_assert!(is_full(&bits, n), "tournament leader missing bits");
+        // Survived every meeting: the bitset covers everyone in every
+        // fault-free run. Under injected faults (a corrupted meeting
+        // register) it may not, and the leader answers 0 — a wrong
+        // answer the degradation experiments classify, in every build
+        // profile alike.
         let verdict = i64::from(is_full(&bits, n));
         return swap(DONE_REG, Value::bits(bits), move |_| {
             done(Value::from(verdict))
