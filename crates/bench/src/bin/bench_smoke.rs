@@ -11,8 +11,11 @@
 //! `(S, A)`-run event, and the E6 case the heap allocations per sampled
 //! `(All, A)`-run event, both counted by this binary's global allocator.
 //!
-//! Three deterministic gates make the binary exit nonzero:
+//! Four deterministic gates make the binary exit nonzero:
 //!
+//! * no E4, E6 or E13 run may report a failure — a Lemma 5.2 or
+//!   appendix-claim violation, or a sample whose winner beats the
+//!   Theorem 6.1 bound;
 //! * the E4 and E13 `events_per_run` must equal [`E4_EVENTS`] and
 //!   [`E13_EVENTS`] (any drift means the simulated work changed);
 //! * the `(S, A)`-run allocations per event must stay at or below
@@ -20,7 +23,7 @@
 //! * the sampled `(All, A)`-run allocations per event must stay at or
 //!   below [`SAMPLED_ALL_RUN_ALLOCS_PER_EVENT_CEILING`].
 //!
-//! All are exact counts, so they hold on noisy shared CI runners where
+//! All are exact, so they hold on noisy shared CI runners where
 //! wall-clock is trend-watching only.
 //!
 //! Usage: `bench_smoke [--out PATH] [--samples N] [--label NAME]`
@@ -206,6 +209,7 @@ fn main() {
         allocs_per_event: Some(("s_run_allocs_per_event", allocs_per_event)),
     });
 
+    let e6 = llsc_bench::e6_randomized_expectation(&[4, 16, 64], 30, &sweep);
     let sampled_allocs_per_event = sampled_all_run_allocs_per_event();
     let (min, mean) = measure_case(samples, || {
         llsc_bench::e6_randomized_expectation(&[4, 16, 64], 30, &sweep)
@@ -263,6 +267,10 @@ fn main() {
     eprintln!("wrote {out}");
 
     let mut gate_ok = true;
+    for f in e4.failures.iter().chain(&e6.failures).chain(&e13.failures) {
+        eprintln!("check gate FAILED: {} ({})", f.payload, f.context);
+        gate_ok = false;
+    }
     for (id, events, pinned) in [
         ("e4", e4_events, E4_EVENTS),
         ("e13", e13_events, E13_EVENTS),

@@ -23,17 +23,23 @@
 //! zero-cost comparison against the unhardened twin at `f = 0`, and
 //! E17's in-trial shrink of every non-recovered case.
 //!
-//! [`degradation_sweep`] does the rest for every kind: the item grid,
-//! the panic-isolated sweep, the grouping of trials into one
-//! [`DegradationRow`] per `(algorithm, level)` cell, reproducer
-//! attachment, and the table.
+//! [`DegradationGrid`] does the rest for every kind: the cell grid, the
+//! panic-isolated sweep, reproducer attachment, the checkpoint codec, and
+//! the fold into one [`DegradationRow`] per `(algorithm, level)` cell and
+//! the table. [`degradation_sweep`] runs it as one in-memory chunk; E20's
+//! resumable job runs it chunk by chunk.
 
+use crate::grid::{
+    cell_of, decode_failure, encode_failure, field, push_field, run_and_fold, tile, Fold, Grid,
+};
 use crate::harness::Experiment;
 use crate::repro::{execute_case, run_case_with, shrink_run, CaseCounters, CaseRun};
 use crate::table::Table;
 use llsc_objects::ObjectSpec;
 use llsc_shmem::repro::{Provenance, RecoverySpec, ReproCase, ScheduleSpec, TossSpec};
-use llsc_shmem::{Algorithm, ChaosPlan, CrashPlan, FaultPlan, RunOutcome, Sweep, TrialFailure};
+use llsc_shmem::{
+    json, Algorithm, ChaosPlan, CrashPlan, FaultPlan, RunOutcome, Sweep, TrialFailure,
+};
 use llsc_universal::{
     AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HardenedAdtTreeUniversal,
     HardenedCombiningTreeUniversal, HardenedDirectLlSc, ObjectImplementation,
@@ -43,6 +49,7 @@ use llsc_wakeup::{
     HardenedTournamentWakeup, ObjectWakeup, RandomizedCounterWakeup, RecoverableCounterWakeup,
     RecoverableMutex, RecoverableRandCounterWakeup, ReductionKind, TournamentWakeup,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The per-trial event budget of every degradation experiment unless
@@ -170,6 +177,16 @@ impl Degradation {
                 "wakeup-from-fetch&increment[hardened-adt-group-update]".to_string()
             }
             _ => self.algorithm(idx, n).name().to_string(),
+        }
+    }
+
+    /// What the kind's fault level counts, as its table's column names
+    /// it.
+    fn level_name(self) -> &'static str {
+        match self {
+            Degradation::Crash | Degradation::Recovery => "crashed",
+            Degradation::MemoryFault => "faults",
+            Degradation::Chaos | Degradation::ChaosRecovery => "intensity",
         }
     }
 
@@ -554,16 +571,16 @@ fn via_fetch_increment<U: ObjectImplementation + 'static>(
 
 /// What one trial contributes to its cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct TrialResult {
+pub struct TrialResult {
     /// The failure class (see [`crate::repro::classify`]).
-    pub(crate) class: String,
+    pub class: String,
     /// Whether the run satisfied its algorithm's safety property.
-    pub(crate) safe: bool,
+    pub safe: bool,
     /// The run's counters.
-    pub(crate) counters: CaseCounters,
+    pub counters: CaseCounters,
     /// E17: the size of the minimal reproducer shrunk from a
     /// non-recovered trial.
-    pub(crate) shrunk: Option<usize>,
+    pub shrunk: Option<usize>,
 }
 
 /// One `(algorithm, level)` cell of a degradation experiment: the class
@@ -676,17 +693,194 @@ impl DegradationRow {
     }
 }
 
-/// Runs degradation experiment `kind` at `n` processes: every algorithm
-/// of its catalog at every fault level in `levels`, `reps` trials per
-/// cell, each trial under `max_events` and its own derived seed.
+/// The grid of degradation experiment `kind` at `n` processes: one cell
+/// per `(algorithm, level)`, algorithm-major, `reps` trials each, every
+/// trial under `max_events` and its own derived seed.
 ///
-/// Trials are panic-isolated: a level-0 invariant violation (or a
-/// starved `max_events`, or a trial deadline) becomes a [`TrialFailure`]
-/// carrying the trial's context and its [`ReproCase`] — the trial's own
-/// case under the failure's derived seed, with the classified outcome
-/// and provenance recorded — instead of aborting the experiment. Rows
-/// and failures merge in index order, so the output is byte-identical at
-/// every thread count.
+/// Trials are panic-isolated ([`Sweep::run_fallible`]): a level-0
+/// invariant violation, a starved `max_events` or a trial deadline
+/// becomes a [`TrialFailure`] carrying the trial's context and its
+/// [`ReproCase`] — the trial's own case under the failure's derived seed,
+/// with the classified outcome and provenance recorded.
+pub struct DegradationGrid {
+    kind: Degradation,
+    n: usize,
+    levels: Vec<usize>,
+    reps: usize,
+    max_events: u64,
+    /// Recovery `(delay, budget)` overrides; 0 keeps the case's own.
+    recovery: (u64, u64),
+    cells: Vec<Range<usize>>,
+}
+
+impl DegradationGrid {
+    /// Every algorithm of `kind`'s catalog at every level in `levels`.
+    pub fn new(
+        kind: Degradation,
+        n: usize,
+        levels: &[usize],
+        reps: usize,
+        max_events: u64,
+    ) -> DegradationGrid {
+        let cells = kind.algorithm_count() * levels.len();
+        DegradationGrid {
+            kind,
+            n,
+            levels: levels.to_vec(),
+            reps,
+            max_events,
+            recovery: (0, 0),
+            cells: tile(std::iter::repeat_n(reps, cells)),
+        }
+    }
+
+    /// Overrides the recovery delay and respawn budget of every case that
+    /// recovers crashed processes (`0` keeps the case's own value).
+    pub fn with_recovery(mut self, delay: u64, budget: u64) -> DegradationGrid {
+        self.recovery = (delay, budget);
+        self
+    }
+
+    /// `(algorithm, level)` of cell `cell`.
+    fn coords(&self, cell: usize) -> (usize, usize) {
+        let per_alg = self.levels.len();
+        (cell / per_alg, self.levels[cell % per_alg])
+    }
+
+    /// The case one trial of algorithm `a` at `level` runs under `seed`.
+    fn case(&self, a: usize, level: usize, seed: u64) -> ReproCase {
+        let mut case = self.kind.case(a, self.n, level, seed, self.max_events);
+        if let Some(recovery) = case.recovery.as_mut() {
+            let (delay, budget) = self.recovery;
+            recovery.delay = if delay > 0 { delay } else { recovery.delay };
+            recovery.budget = if budget > 0 { budget } else { recovery.budget };
+        }
+        case
+    }
+}
+
+impl Grid for DegradationGrid {
+    type Trial = Result<TrialResult, TrialFailure>;
+    type Row = DegradationRow;
+
+    fn cells(&self) -> &[Range<usize>] {
+        &self.cells
+    }
+
+    fn label(&self, cell: usize) -> String {
+        let (a, level) = self.coords(cell);
+        let (n, name) = (self.n, self.kind.level_name());
+        format!("alg={} n={n} {name}={level}", self.kind.label(a, n))
+    }
+
+    /// One fallible sweep over the whole span, so its trials share one
+    /// work queue across cells. Never an `Err`: a failed trial is a
+    /// record.
+    fn run(&self, span: Range<usize>, sweep: &Sweep) -> Result<Vec<Self::Trial>, String> {
+        let (kind, n) = (self.kind, self.n);
+        let coords = |index| self.coords(cell_of(&self.cells, index));
+        let mut results = sweep.run_fallible(
+            span,
+            |trial| {
+                let (a, level) = coords(trial.index);
+                kind.trial(a, level, trial.seed, &self.case(a, level, trial.seed))
+            },
+            |trial| {
+                let (a, level) = coords(trial.index);
+                kind.context(a, n, level, trial.seed)
+            },
+        );
+        // A trial cancelled before it started has nothing to reproduce.
+        let started = results.iter_mut().filter_map(|r| r.as_mut().err());
+        for failure in started.filter(|f| f.attempts > 0) {
+            let (a, level) = coords(failure.index);
+            let mut case = self.case(a, level, failure.derived_seed);
+            case.provenance = Some(Provenance {
+                sweep_seed: sweep.seed,
+                trial_index: failure.index,
+                attempt: failure.attempts.saturating_sub(1),
+            });
+            let run = run_case_with(&case, kind.algorithm(a, n).as_ref());
+            case.outcome = run.outcome_debug;
+            case.class = run.class;
+            failure.repro = Some(case.to_json());
+        }
+        Ok(results)
+    }
+
+    /// A `chaos` record keeps what the E20 table reads — the class and
+    /// the recovery counters — the only degradation kind that runs as a
+    /// job.
+    fn encode(&self, trial: &Self::Trial, out: &mut String) {
+        let t = match trial {
+            Ok(t) => t,
+            Err(failure) => return encode_failure(failure, out),
+        };
+        let c = &t.counters;
+        push_field(out, "kind", "chaos");
+        push_field(out, "class", &t.class);
+        for (key, value) in [
+            ("crashes", c.crashes),
+            ("recoveries", c.recoveries),
+            ("spurious_sc", c.spurious_sc),
+            ("corruptions", c.corruptions),
+            ("cc_rmrs", c.cc_rmrs),
+            ("dsm_rmrs", c.dsm_rmrs),
+        ] {
+            push_field(out, key, value);
+        }
+    }
+
+    fn decode(&self, index: usize, record: &json::Value) -> Result<Self::Trial, String> {
+        if field::<String>(record, "kind")? == "failure" {
+            return Ok(Err(decode_failure(index, record)?));
+        }
+        Ok(Ok(TrialResult {
+            class: field(record, "class")?,
+            safe: true,
+            counters: CaseCounters {
+                crashes: field(record, "crashes")?,
+                recoveries: field(record, "recoveries")?,
+                spurious_sc: field(record, "spurious_sc")?,
+                corruptions: field(record, "corruptions")?,
+                cc_rmrs: field(record, "cc_rmrs")?,
+                dsm_rmrs: field(record, "dsm_rmrs")?,
+                ..CaseCounters::default()
+            },
+            shrunk: None,
+        }))
+    }
+
+    fn fold(&self, cells: &[Option<&[Self::Trial]>]) -> Fold<DegradationRow> {
+        let (mut rows, mut failures, mut incomplete) = (Vec::new(), Vec::new(), Vec::new());
+        for (c, trials) in cells.iter().enumerate() {
+            let (a, level) = self.coords(c);
+            let Some(trials) = trials else {
+                let name = self.kind.level_name();
+                incomplete.push(format!("alg={} {name}={level}", self.kind.label(a, self.n)));
+                continue;
+            };
+            let mut row = self.kind.row(a, self.n, level);
+            for trial in *trials {
+                match trial {
+                    Ok(t) => row.tally(t),
+                    Err(failure) => failures.push(failure.clone()),
+                }
+            }
+            rows.push(row);
+        }
+        Fold {
+            table: self.kind.table(self.n, self.reps, &rows),
+            rows,
+            failures,
+            incomplete,
+        }
+    }
+}
+
+/// Runs degradation experiment `kind` at `n` processes — its
+/// [`DegradationGrid`] as one in-memory chunk — and returns the table and
+/// rows plus every failed trial.
 ///
 /// # Panics
 ///
@@ -700,49 +894,13 @@ pub fn degradation_sweep(
     sweep: &Sweep,
 ) -> (Experiment<DegradationRow>, Vec<TrialFailure>) {
     assert!(reps >= 1, "need at least one repetition per cell");
-    let items: Vec<(usize, usize)> = (0..kind.algorithm_count())
-        .flat_map(|a| {
-            levels
-                .iter()
-                .flat_map(move |&l| std::iter::repeat_n((a, l), reps))
-        })
-        .collect();
-    let outcomes = sweep.run_fallible(
-        &items,
-        |trial, &(a, level)| {
-            let case = kind.case(a, n, level, trial.seed, max_events);
-            kind.trial(a, level, trial.seed, &case)
-        },
-        |trial, &(a, level)| kind.context(a, n, level, trial.seed),
-    );
-
-    let mut rows: Vec<DegradationRow> = Vec::new();
-    let mut failures = Vec::new();
-    let mut current = None;
-    for (&(a, level), result) in items.iter().zip(outcomes) {
-        if current != Some((a, level)) {
-            rows.push(kind.row(a, n, level));
-            current = Some((a, level));
-        }
-        match result {
-            Ok(t) => rows.last_mut().expect("cell pushed above").tally(&t),
-            Err(failure) => failures.push(failure),
-        }
-    }
-    for failure in &mut failures {
-        let (a, level) = items[failure.index];
-        let mut case = kind.case(a, n, level, failure.derived_seed, max_events);
-        case.provenance = Some(Provenance {
-            sweep_seed: sweep.seed,
-            trial_index: failure.index,
-            attempt: failure.attempts.saturating_sub(1),
-        });
-        let run = run_case_with(&case, kind.algorithm(a, n).as_ref());
-        case.outcome = run.outcome_debug;
-        case.class = run.class;
-        failure.repro = Some(case.to_json());
-    }
-    let table = kind.table(n, reps, &rows);
+    let grid = DegradationGrid::new(kind, n, levels, reps, max_events);
+    let Fold {
+        table,
+        rows,
+        failures,
+        ..
+    } = run_and_fold(&grid, sweep);
     (Experiment { table, rows }, failures)
 }
 
@@ -803,14 +961,14 @@ mod tests {
         let baseline = run_case_with(&case, alg.as_ref());
         assert_eq!(baseline.class, "stalled");
         let isolated = expired().run_fallible(
-            &[()],
-            |_, _| run_case_with(&case, alg.as_ref()).class,
-            |_, _| String::new(),
+            0..1,
+            |_| run_case_with(&case, alg.as_ref()).class,
+            |_| String::new(),
         );
         let shrunk = expired().run_fallible(
-            &[()],
-            |_, _| shrink_run(&case, alg.as_ref(), &baseline, 10).final_size,
-            |_, _| String::new(),
+            0..1,
+            |_| shrink_run(&case, alg.as_ref(), &baseline, 10).final_size,
+            |_| String::new(),
         );
         assert_deadline(isolated[0].as_ref().expect_err("the abort is not a class"));
         assert_deadline(

@@ -1,18 +1,27 @@
 //! The experiment implementations behind the `table_*` binaries.
 //!
 //! Every function runs its independent trials on the shared [`Sweep`]
-//! engine and returns an [`Experiment`] — the rendered table plus the
-//! typed rows, so tests (and `EXPERIMENTS.md` updates) can consume the
-//! numbers directly. All experiments are deterministic: fixed seeds, fixed
-//! toss assignments, and trial results merged in index order, so the
-//! tables are byte-identical at every thread count.
+//! engine and returns the rendered table plus the typed rows, so tests
+//! (and `EXPERIMENTS.md` updates) can consume the numbers directly. E4,
+//! E6 and E13 are described once as a [`Grid`] ([`SubsetGrid`],
+//! [`SampleGrid`]) that the resumable job layer runs too; their table
+//! functions run the grid as one in-memory chunk and return its [`Fold`],
+//! failures included. All experiments are deterministic: fixed seeds,
+//! fixed toss assignments, and trial results merged in index order, so
+//! the tables are byte-identical at every thread count.
 
+use crate::grid::{
+    cell_of, check_failure, field, list_field, opt_field, opt_text, overlaps, push_field,
+    push_list, run_and_fold, tile, Fold, Grid,
+};
 use crate::harness::Experiment;
 use crate::table::Table;
 use llsc_core::{
-    build_all_run, ceil_log4, estimate_expected_complexity_sweep, flow_report, indist_all_subsets,
-    secretive_complete_schedule, verify_lower_bound, AdversaryConfig, MoveConfig, ProcSet,
+    build_all_run, ceil_log4, flow_report, indist_subset_range, report_from_samples,
+    sample_expectation, secretive_complete_schedule, verify_lower_bound, AdversaryConfig,
+    ExpectationSample, MoveConfig, ProcSet, SubsetTrialRecord,
 };
+use llsc_shmem::json;
 // Re-exported for callers that predate the move of the seeding helpers
 // into `llsc_core` (see `crates/core/src/secretive.rs`).
 pub use llsc_core::random_move_config;
@@ -25,16 +34,16 @@ use llsc_universal::{
 use llsc_wakeup::{
     correct_algorithms, randomized_algorithms, ObjectWakeup, ReductionKind, TournamentWakeup,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The E4 table title — shared with the job runner, whose assembled
-/// artifact must match the `table_e4` binary's byte for byte.
+/// The E4 table title.
 pub const E4_TITLE: &str =
     "E4 - Lemma 5.2: (All,A)-run vs (S,A)-run indistinguishability, exhaustive over S";
-/// The E6 table title (see [`E4_TITLE`] for why it is shared).
+/// The E6 table title.
 pub const E6_TITLE: &str =
     "E6 - randomized wakeup: sampled expected complexity vs c*log4(n) (Lemma 3.1)";
-/// The E13 table title (see [`E4_TITLE`] for why it is shared).
+/// The E13 table title.
 pub const E13_TITLE: &str = "E13 - appendix claims A.2-A.9 + Lemma 5.2, exhaustive over subsets";
 
 /// The `(algorithm index, n)` product used by the per-algorithm sweeps.
@@ -192,75 +201,196 @@ pub fn e3_up_growth(ns: &[usize], sweep: &Sweep) -> Experiment<E3Row> {
     Experiment { table, rows }
 }
 
-/// One row of E4: indistinguishability checking for one algorithm/n.
-#[derive(Clone, Debug)]
-pub struct E4Row {
+/// One row of E4 or E13: one algorithm at one `n`, over every subset
+/// `S` and (E4) every toss assignment.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SubsetRow {
     /// Algorithm name.
     pub algorithm: String,
     /// Number of processes.
     pub n: usize,
-    /// Subsets `S` tested.
+    /// Subsets `S` tested, over all toss assignments.
     pub subsets: usize,
     /// Individual state comparisons performed.
     pub comparisons: usize,
-    /// Violations found (must be 0).
+    /// Violations found (Lemma 5.2, plus claims A.2–A.9 for E13).
     pub violations: usize,
-    /// Total simulated executor events across the sweeps behind this row.
+    /// Total simulated executor events across the sweeps behind this row,
+    /// each `(All, A)`-run counted once.
     pub events: u64,
+}
+
+/// The E4/E13 grid: one cell per `(algorithm, n, toss seed)`, one trial
+/// per subset mask, run through [`indist_subset_range`].
+pub struct SubsetGrid {
+    algs: Vec<Box<dyn Algorithm>>,
+    cells: Vec<Range<usize>>,
+    /// `(algorithm, n, toss seed)` of each cell; a row merges the
+    /// `seeds` consecutive cells of one `(algorithm, n)`.
+    coords: Vec<(usize, usize, u64)>,
+    seeds: usize,
+    claims: bool,
+    cfg: AdversaryConfig,
+}
+
+impl SubsetGrid {
+    /// Every wakeup algorithm at every `n` in `ns` under every toss seed
+    /// (`0` means [`ZeroTosses`]): Lemma 5.2 for E4, plus claims A.2–A.9
+    /// with `claims` (E13, zero tosses). `max_events` overrides the
+    /// executor's event budget unless 0.
+    pub fn new(ns: &[usize], toss_seeds: &[u64], claims: bool, max_events: u64) -> SubsetGrid {
+        let algs: Vec<Box<dyn Algorithm>> = correct_algorithms()
+            .into_iter()
+            .chain(randomized_algorithms())
+            .collect();
+        let coords: Vec<(usize, usize, u64)> = alg_size_pairs(algs.len(), ns)
+            .into_iter()
+            .flat_map(|(a, n)| toss_seeds.iter().map(move |&seed| (a, n, seed)))
+            .collect();
+        let mut cfg = AdversaryConfig::default();
+        if max_events > 0 {
+            cfg.executor.max_events = max_events;
+        }
+        SubsetGrid {
+            algs,
+            cells: tile(coords.iter().map(|&(_, n, _)| 1 << n.min(16))),
+            coords,
+            seeds: toss_seeds.len(),
+            claims,
+            cfg,
+        }
+    }
+}
+
+impl Grid for SubsetGrid {
+    type Trial = SubsetTrialRecord;
+    type Row = SubsetRow;
+
+    fn cells(&self) -> &[Range<usize>] {
+        &self.cells
+    }
+
+    /// E13 runs zero tosses only, so its labels name no toss seed.
+    fn label(&self, cell: usize) -> String {
+        let (a, n, seed) = self.coords[cell];
+        let alg = self.algs[a].name();
+        if self.claims {
+            format!("alg={alg} n={n}")
+        } else {
+            format!("alg={alg} n={n} toss_seed={seed}")
+        }
+    }
+
+    /// One record per mask; each cell's shared `(All, A)`-run is billed
+    /// to its mask 0, so summing a cell's `events` counts it once.
+    fn run(&self, span: Range<usize>, sweep: &Sweep) -> Result<Vec<SubsetTrialRecord>, String> {
+        let mut records = Vec::with_capacity(span.len());
+        for (cell, masks) in overlaps(&self.cells, span) {
+            let (a, n, seed) = self.coords[cell];
+            let toss: Arc<dyn llsc_shmem::TossAssignment> = match seed {
+                0 => Arc::new(ZeroTosses),
+                seed => Arc::new(SeededTosses::new(seed)),
+            };
+            let alg = self.algs[a].as_ref();
+            let chunk = indist_subset_range(alg, n, toss, &self.cfg, self.claims, sweep, masks)
+                .map_err(|e| format!("{}: {e:?}", self.label(cell)))?;
+            let first = records.len();
+            records.extend(chunk.records);
+            if let Some(mask0) = records.get_mut(first).filter(|r| r.mask == 0) {
+                mask0.events += chunk.all_events;
+            }
+        }
+        Ok(records)
+    }
+
+    /// A `subset` record keeps what the table reads; `events` (typed rows
+    /// only) is not kept and reads back as 0.
+    fn encode(&self, r: &SubsetTrialRecord, out: &mut String) {
+        push_field(out, "kind", "subset");
+        push_field(out, "mask", r.mask);
+        push_field(out, "comparisons", r.comparisons);
+        push_field(out, "claims", r.claim_instances);
+        push_list(out, "violations", &r.violations);
+    }
+
+    fn decode(&self, _index: usize, record: &json::Value) -> Result<SubsetTrialRecord, String> {
+        Ok(SubsetTrialRecord {
+            mask: field(record, "mask")?,
+            comparisons: field(record, "comparisons")?,
+            claim_instances: field(record, "claims")?,
+            events: 0,
+            violations: list_field(record, "violations")?,
+        })
+    }
+
+    /// One row per `(algorithm, n)`; every violation is also a failure.
+    fn fold(&self, cells: &[Option<&[SubsetTrialRecord]>]) -> Fold<SubsetRow> {
+        let table = if self.claims {
+            Table::new(E13_TITLE, ["algorithm", "n", "subsets", "violations"])
+        } else {
+            let headers = ["algorithm", "n", "subsets", "comparisons", "violations"];
+            Table::new(E4_TITLE, headers)
+        };
+        let mut fold = Fold {
+            table,
+            rows: Vec::new(),
+            failures: Vec::new(),
+            incomplete: Vec::new(),
+        };
+        for first in (0..cells.len()).step_by(self.seeds.max(1)) {
+            let (a, n, _) = self.coords[first];
+            let mut row = SubsetRow {
+                algorithm: self.algs[a].name().to_string(),
+                n,
+                ..SubsetRow::default()
+            };
+            let block = first..first + self.seeds;
+            let Some(records) = cells[block.clone()]
+                .iter()
+                .copied()
+                .collect::<Option<Vec<_>>>()
+            else {
+                fold.incomplete.push(format!("alg={} n={n}", row.algorithm));
+                continue;
+            };
+            for (c, records) in block.zip(records) {
+                for (i, r) in records.iter().enumerate() {
+                    row.subsets += 1;
+                    row.comparisons += r.comparisons;
+                    row.violations += r.violations.len();
+                    row.events += r.events;
+                    fold.failures.extend(r.violations.iter().map(|v| {
+                        let context = format!("{} mask={}", self.label(c), r.mask);
+                        check_failure(
+                            self.cells[c].start + i,
+                            self.coords[c].2,
+                            v.clone(),
+                            context,
+                        )
+                    }));
+                }
+            }
+            let mut cols = vec![
+                row.algorithm.clone(),
+                n.to_string(),
+                row.subsets.to_string(),
+            ];
+            if !self.claims {
+                cols.push(row.comparisons.to_string());
+            }
+            cols.push(row.violations.to_string());
+            fold.table.row(cols);
+            fold.rows.push(row);
+        }
+        fold
+    }
 }
 
 /// E4: Lemma 5.2 — `(All, A)` vs `(S, A)` indistinguishability over every
 /// subset `S` (exhaustive; keep `n` small) and several toss assignments.
 /// The `2^n` subsets of each run fan out over the sweep.
-pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Experiment<E4Row> {
-    let mut table = Table::new(
-        E4_TITLE,
-        ["algorithm", "n", "subsets", "comparisons", "violations"],
-    );
-    let cfg = AdversaryConfig::default();
-    let mut rows = Vec::new();
-    let algs: Vec<Box<dyn Algorithm>> = correct_algorithms()
-        .into_iter()
-        .chain(randomized_algorithms())
-        .collect();
-    for alg in &algs {
-        for &n in ns {
-            let mut subsets = 0usize;
-            let mut comparisons = 0usize;
-            let mut violations = 0usize;
-            let mut events = 0u64;
-            for &seed in seeds {
-                let toss: Arc<dyn llsc_shmem::TossAssignment> = if seed == 0 {
-                    Arc::new(ZeroTosses)
-                } else {
-                    Arc::new(SeededTosses::new(seed))
-                };
-                let report = indist_all_subsets(alg.as_ref(), n, toss, &cfg, false, sweep)
-                    .expect("E4 subset runs stay within the default executor budgets");
-                subsets += report.subsets;
-                comparisons += report.comparisons;
-                violations += report.violations.len();
-                events += report.events;
-            }
-            assert_eq!(violations, 0, "{} n={n}", alg.name());
-            table.row([
-                alg.name().to_string(),
-                n.to_string(),
-                subsets.to_string(),
-                comparisons.to_string(),
-                violations.to_string(),
-            ]);
-            rows.push(E4Row {
-                algorithm: alg.name().to_string(),
-                n,
-                subsets,
-                comparisons,
-                violations,
-                events,
-            });
-        }
-    }
-    Experiment { table, rows }
+pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Fold<SubsetRow> {
+    run_and_fold(&SubsetGrid::new(ns, seeds, false, 0), sweep)
 }
 
 /// One row of E5: the wakeup lower bound for one algorithm at one `n`.
@@ -349,13 +479,90 @@ pub struct E6Row {
     pub log4_n: f64,
 }
 
-/// E6: the randomized bound — sampled expected complexity vs
-/// `c * log4(n)` (Lemma 3.1 + Theorem 6.1). The toss-assignment samples
-/// of each `(algorithm, n)` estimate fan out over the sweep.
-pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> Experiment<E6Row> {
-    let mut table = Table::new(
-        E6_TITLE,
-        [
+/// The E6 grid: one cell per `(randomized algorithm, n)`, one trial per
+/// toss-assignment sample (its cell-local index is its toss seed), run
+/// through [`sample_expectation`].
+pub struct SampleGrid {
+    algs: Vec<Box<dyn Algorithm>>,
+    cells: Vec<Range<usize>>,
+    /// `(algorithm, n)` of each cell.
+    coords: Vec<(usize, usize)>,
+    cfg: AdversaryConfig,
+}
+
+impl SampleGrid {
+    /// `samples` toss assignments for every randomized algorithm at every
+    /// `n` in `ns`. `max_events` overrides the executor's event budget
+    /// unless 0.
+    pub fn new(ns: &[usize], samples: u64, max_events: u64) -> SampleGrid {
+        let algs = randomized_algorithms();
+        let coords = alg_size_pairs(algs.len(), ns);
+        let mut cfg = AdversaryConfig {
+            max_rounds: 10_000,
+            ..AdversaryConfig::default()
+        };
+        if max_events > 0 {
+            cfg.executor.max_events = max_events;
+        }
+        SampleGrid {
+            algs,
+            cells: tile(coords.iter().map(|_| samples as usize)),
+            coords,
+            cfg,
+        }
+    }
+}
+
+impl Grid for SampleGrid {
+    type Trial = ExpectationSample;
+    type Row = E6Row;
+
+    fn cells(&self) -> &[Range<usize>] {
+        &self.cells
+    }
+
+    fn label(&self, cell: usize) -> String {
+        let (a, n) = self.coords[cell];
+        format!("alg={} n={n}", self.algs[a].name())
+    }
+
+    fn run(&self, span: Range<usize>, sweep: &Sweep) -> Result<Vec<ExpectationSample>, String> {
+        let results = sweep.run_range(
+            span,
+            || (),
+            |(), t| {
+                let cell = cell_of(&self.cells, t.index);
+                let (a, n) = self.coords[cell];
+                let seed = (t.index - self.cells[cell].start) as u64;
+                sample_expectation(self.algs[a].as_ref(), n, seed, &self.cfg)
+                    .map_err(|e| format!("{}: {e:?}", self.label(cell)))
+            },
+        );
+        results.into_iter().collect()
+    }
+
+    fn encode(&self, s: &ExpectationSample, out: &mut String) {
+        push_field(out, "kind", "sample");
+        push_field(out, "terminated", u8::from(s.terminated));
+        push_field(out, "wakeup_ok", u8::from(s.wakeup_ok));
+        push_field(out, "winner_steps", opt_text(s.winner_steps));
+        push_field(out, "max_steps", opt_text(s.max_steps));
+    }
+
+    fn decode(&self, _index: usize, record: &json::Value) -> Result<ExpectationSample, String> {
+        Ok(ExpectationSample {
+            terminated: field::<u8>(record, "terminated")? == 1,
+            wakeup_ok: field::<u8>(record, "wakeup_ok")? == 1,
+            winner_steps: opt_field(record, "winner_steps")?,
+            max_steps: opt_field(record, "max_steps")?,
+        })
+    }
+
+    /// One row per cell; a terminated sample whose winner took fewer than
+    /// `ceil(log4 n)` shared-access steps refutes Theorem 6.1 and is a
+    /// failure.
+    fn fold(&self, cells: &[Option<&[ExpectationSample]>]) -> Fold<E6Row> {
+        let headers = [
             "algorithm",
             "n",
             "c",
@@ -363,21 +570,35 @@ pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> E
             "min winner",
             "c*k",
             "log4(n)",
-        ],
-    );
-    let cfg = AdversaryConfig {
-        max_rounds: 10_000,
-        ..AdversaryConfig::default()
-    };
-    let seeds: Vec<u64> = (0..samples).collect();
-    let mut rows = Vec::new();
-    for alg in randomized_algorithms() {
-        for &n in ns {
-            let rep = estimate_expected_complexity_sweep(alg.as_ref(), n, &seeds, &cfg, sweep)
-                .expect("E6 sampled runs stay within the default executor budgets");
-            assert!(rep.all_meet_bound, "{} n={n}", alg.name());
-            table.row([
-                alg.name().to_string(),
+        ];
+        let mut fold = Fold {
+            table: Table::new(E6_TITLE, headers),
+            rows: Vec::new(),
+            failures: Vec::new(),
+            incomplete: Vec::new(),
+        };
+        for (c, samples) in cells.iter().enumerate() {
+            let Some(samples) = samples else {
+                fold.incomplete.push(self.label(c));
+                continue;
+            };
+            let (a, n) = self.coords[c];
+            let bound = ceil_log4(n);
+            for (i, s) in samples.iter().enumerate() {
+                if let Some(w) = s.winner_steps.filter(|&w| s.terminated && w < bound) {
+                    fold.failures.push(check_failure(
+                        self.cells[c].start + i,
+                        i as u64,
+                        format!(
+                            "winner took {w} shared-access step(s), below ceil(log4 n) = {bound}"
+                        ),
+                        format!("{} toss_seed={i}", self.label(c)),
+                    ));
+                }
+            }
+            let rep = report_from_samples(self.algs[a].name(), n, samples);
+            fold.table.row([
+                rep.algorithm.clone(),
                 n.to_string(),
                 format!("{:.2}", rep.termination_rate),
                 format!("{:.1}", rep.mean_winner_steps),
@@ -385,8 +606,8 @@ pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> E
                 format!("{:.2}", rep.lemma_3_1_bound),
                 format!("{:.2}", rep.log4_n),
             ]);
-            rows.push(E6Row {
-                algorithm: alg.name().to_string(),
+            fold.rows.push(E6Row {
+                algorithm: rep.algorithm,
                 n,
                 termination_rate: rep.termination_rate,
                 mean_winner_steps: rep.mean_winner_steps,
@@ -395,8 +616,15 @@ pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> E
                 log4_n: rep.log4_n,
             });
         }
+        fold
     }
-    Experiment { table, rows }
+}
+
+/// E6: the randomized bound — sampled expected complexity vs
+/// `c * log4(n)` (Lemma 3.1 + Theorem 6.1). Every toss-assignment sample
+/// of every `(algorithm, n)` estimate fans out over one sweep.
+pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> Fold<E6Row> {
+    run_and_fold(&SampleGrid::new(ns, samples, 0), sweep)
 }
 
 /// One row of E7: a Theorem 6.2 reduction at one `n`.
@@ -846,51 +1074,11 @@ pub fn e12_multi_use(ns: &[usize], ks: &[usize], sweep: &Sweep) -> Experiment<E1
     Experiment { table, rows }
 }
 
-/// One row of E13: appendix-claims checking for one algorithm.
-#[derive(Clone, Debug)]
-pub struct E13Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Number of processes (subsets are exhaustive).
-    pub n: usize,
-    /// Total violations over all subsets (claims + Lemma 5.2).
-    pub violations: usize,
-    /// Total simulated executor events across the sweep behind this row.
-    pub events: u64,
-}
-
 /// E13: the appendix claims (A.2-A.9) plus Lemma 5.2, exhaustively over
 /// subsets, for every shipped wakeup algorithm. The `2^n` subsets of each
 /// check fan out over the sweep.
-pub fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Experiment<E13Row> {
-    let mut table = Table::new(E13_TITLE, ["algorithm", "n", "subsets", "violations"]);
-    let cfg = AdversaryConfig::default();
-    let mut rows = Vec::new();
-    for alg in correct_algorithms()
-        .into_iter()
-        .chain(randomized_algorithms())
-    {
-        for &n in ns {
-            let report =
-                indist_all_subsets(alg.as_ref(), n, Arc::new(ZeroTosses), &cfg, true, sweep)
-                    .expect("E13 subset runs stay within the default executor budgets");
-            let violations = report.violations.len();
-            assert_eq!(violations, 0, "{} n={n}", alg.name());
-            table.row([
-                alg.name().to_string(),
-                n.to_string(),
-                (1u64 << n).to_string(),
-                violations.to_string(),
-            ]);
-            rows.push(E13Row {
-                algorithm: alg.name().to_string(),
-                n,
-                violations,
-                events: report.events,
-            });
-        }
-    }
-    Experiment { table, rows }
+pub fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Fold<SubsetRow> {
+    run_and_fold(&SubsetGrid::new(ns, &[0], true, 0), sweep)
 }
 
 /// One row of E14: stress-portfolio outcomes.
@@ -1301,6 +1489,35 @@ mod tests {
             }
         }
         assert!(failing_cells > 0, "intensity-3 chaos must break something");
+    }
+
+    #[test]
+    fn e6_fold_reports_a_winner_below_the_bound_as_a_failure() {
+        let grid = SampleGrid::new(&[16], 2, 0);
+        let sample = |winner| ExpectationSample {
+            terminated: true,
+            wakeup_ok: true,
+            winner_steps: Some(winner),
+            max_steps: Some(winner),
+        };
+        let samples = [sample(2), sample(0)];
+        let cells: Vec<Option<&[ExpectationSample]>> =
+            grid.cells().iter().map(|_| Some(&samples[..])).collect();
+        let fold = grid.fold(&cells);
+        assert_eq!(fold.rows.len(), cells.len(), "the rows still render");
+        assert_eq!(
+            fold.failures.len(),
+            cells.len(),
+            "one refuted sample per cell"
+        );
+        let f = &fold.failures[0];
+        assert_eq!((f.index, f.seed), (1, 1), "sample 1 ran under toss seed 1");
+        assert!(
+            f.payload.contains("below ceil(log4 n) = 2"),
+            "{}",
+            f.payload
+        );
+        assert!(f.context.ends_with("n=16 toss_seed=1"), "{}", f.context);
     }
 
     /// One small grid of `kind`: every table and every failure (with its

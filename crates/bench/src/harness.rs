@@ -42,6 +42,7 @@
 //! opts.emit(&[&exp.table]);
 //! ```
 
+use crate::grid::Fold;
 use crate::table::Table;
 pub use llsc_shmem::{Sweep, Trial, TrialFailure};
 use std::path::PathBuf;
@@ -249,11 +250,28 @@ impl HarnessOpts {
     /// exits nonzero with a populated `failures` array in its artifact on
     /// any trial failure, instead of aborting with no artifact at all.
     pub fn emit_guarded(&self, build: impl FnOnce(&Sweep) -> Vec<Table>) -> ExitCode {
+        self.emit_guarded_with_failures(|sweep| (build(sweep), Vec::new()))
+    }
+
+    /// [`HarnessOpts::emit_guarded`] for an experiment that folds a
+    /// [`Grid`](crate::grid::Grid): emits its table together with the
+    /// failures the fold reports (failed trials, refuted checks).
+    pub fn emit_guarded_fold<R>(&self, build: impl FnOnce(&Sweep) -> Fold<R>) -> ExitCode {
+        self.emit_guarded_with_failures(|sweep| {
+            let fold = build(sweep);
+            (vec![fold.table], fold.failures)
+        })
+    }
+
+    fn emit_guarded_with_failures(
+        &self,
+        build: impl FnOnce(&Sweep) -> (Vec<Table>, Vec<TrialFailure>),
+    ) -> ExitCode {
         let sweep = self.sweep();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&sweep))) {
-            Ok(tables) => {
+            Ok((tables, failures)) => {
                 let refs: Vec<&Table> = tables.iter().collect();
-                self.emit_with_failures(&refs, &[])
+                self.emit_with_failures(&refs, &failures)
             }
             Err(panic) => {
                 let failure = TrialFailure {
@@ -444,6 +462,22 @@ mod tests {
         assert_eq!(code, ExitCode::SUCCESS);
         let artifact = std::fs::read_to_string(&path).unwrap();
         assert!(!artifact.contains("failures"));
+
+        // A fold's refuted checks still write its table, and fail the run.
+        let code = opts.emit_guarded_fold(|_| Fold::<()> {
+            table: Table::new("folded", ["c"]),
+            rows: Vec::new(),
+            failures: vec![crate::grid::check_failure(
+                2,
+                5,
+                "refuted".into(),
+                String::new(),
+            )],
+            incomplete: Vec::new(),
+        });
+        assert_eq!(code, ExitCode::FAILURE);
+        let artifact = std::fs::read_to_string(&path).unwrap();
+        assert!(artifact.contains("\"title\":\"folded\"") && artifact.contains("refuted"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

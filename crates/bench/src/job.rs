@@ -2,23 +2,27 @@
 //!
 //! The `2^n` subset sweeps (E4/E13), the sampled expectation sweep
 //! (E6), and the chaos degradation sweep (E20, simulator half) are the
-//! repository's longest-running workloads, and a plain
-//! `table_e*` invocation loses everything when the process dies. This
-//! module wraps those sweeps in a *job*: the trial index space is
-//! partitioned into contiguous chunks, each chunk executes through the
-//! ordinary [`Sweep`] path, and after every chunk the accumulated
-//! per-trial records are persisted as an atomic, checksummed checkpoint
-//! ([`llsc_shmem::checkpoint`]). Because per-trial work is deterministic
-//! in the spec alone, a job killed at *any* point — `SIGKILL` included —
-//! resumes from its newest valid checkpoint and produces a final
-//! artifact byte-identical to an uninterrupted run, at any thread count.
+//! repository's longest-running workloads, and a plain `table_e*`
+//! invocation loses everything when the process dies. A *job* runs the
+//! experiment's [`Grid`] — the description its table binary folds in
+//! memory — one chunk of the flat trial index space at a time, on an
+//! ordinary [`Sweep`], and after every chunk persists the accumulated
+//! trial records (through the grid's codec) as an atomic, checksummed
+//! checkpoint ([`llsc_shmem::checkpoint`]). The artifact is the grid's
+//! fold of those records, so a job killed at *any* point — `SIGKILL`
+//! included — resumes from its newest valid checkpoint to the table
+//! binary's artifact, byte for byte, at any thread count.
 //!
-//! The robustness semantics, in one place:
+//! Trial failures are records: a stalled or panicking trial is
+//! checkpointed as a `failure` record with its reproducer, a refuted
+//! check is a failure of the fold, and either way the artifact lists it,
+//! the manifest counts it (`failed_trials`) and [`job_exit_code`] is 1.
+//! Only run errors, timeouts and interrupts fail a chunk attempt:
 //!
 //! * **chunk watchdog** — each chunk attempt runs its sweeps under a
 //!   fresh cancel token ([`Sweep::with_cancel`]) and an optional
 //!   wall-clock deadline; on expiry the runner raises the token, the
-//!   attempt's in-flight trials panic at their next executor poll, and
+//!   attempt's in-flight trials stop at their next executor poll, and
 //!   the attempt is recorded as a timeout. No other sweep in the process
 //!   sees the token.
 //! * **bounded retry with deterministic backoff** — a failed chunk
@@ -38,22 +42,18 @@
 //! ```text
 //! <dir>/spec.json                  the JobSpec (written by `run`)
 //! <dir>/checkpoints/ckpt-*.llsc    rolling checkpoints (2 newest kept)
-//! <dir>/artifact.json              final {"tables":[…]} artifact
+//! <dir>/artifact.json              final {"tables":[…],"failures":[…]} artifact
 //! <dir>/manifest.json              status, chunk ledger, failures
 //! ```
 
-use crate::degradation::{Degradation, TrialResult, DEFAULT_MAX_EVENTS};
-use crate::experiments::{E13_TITLE, E4_TITLE, E6_TITLE};
-use crate::repro::CaseCounters;
+use crate::degradation::{Degradation, DegradationGrid, DEFAULT_MAX_EVENTS};
+use crate::experiments::{SampleGrid, SubsetGrid};
+use crate::grid::{self, field, list_field, push_field, push_list, Grid};
 use crate::table::Table;
-use llsc_core::{
-    indist_subset_range, report_from_samples, sample_expectation, AdversaryConfig,
-    ExpectationSample,
-};
 use llsc_shmem::json;
-use llsc_shmem::{atomic_write, checkpoint, Algorithm, SeededTosses, Sweep, ZeroTosses};
-use llsc_wakeup::{correct_algorithms, randomized_algorithms};
+use llsc_shmem::{atomic_write, checkpoint, Sweep};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,7 +118,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Process counts to sweep.
     pub ns: Vec<usize>,
-    /// Toss-assignment seeds (E4 only; `0` means [`ZeroTosses`]).
+    /// Toss-assignment seeds (E4 only; `0` means
+    /// [`ZeroTosses`](llsc_shmem::ZeroTosses)).
     pub toss_seeds: Vec<u64>,
     /// Toss samples per `(algorithm, n)` estimate (E6), or trials per
     /// `(algorithm, intensity)` cell (E20).
@@ -184,28 +185,13 @@ impl JobSpec {
     /// strings, fixed key order — the form [`JobSpec::fingerprint`]
     /// hashes).
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"version\":\"1\",\"experiment\":");
-        json::push_string(&mut out, self.experiment.tag());
-        out.push_str(",\"name\":");
-        json::push_string(&mut out, &self.name);
-        out.push_str(",\"seed\":");
-        json::push_string(&mut out, &self.seed.to_string());
-        let push_list = |out: &mut String, key: &str, items: &[String]| {
-            out.push_str(&format!(",\"{key}\":["));
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::push_string(out, item);
-            }
-            out.push(']');
-        };
-        let ns: Vec<String> = self.ns.iter().map(|n| n.to_string()).collect();
-        push_list(&mut out, "ns", &ns);
-        let toss: Vec<String> = self.toss_seeds.iter().map(|s| s.to_string()).collect();
-        push_list(&mut out, "toss_seeds", &toss);
-        let intensities: Vec<String> = self.intensities.iter().map(|i| i.to_string()).collect();
-        push_list(&mut out, "intensities", &intensities);
+        let mut out = String::from("{\"version\":\"1\"");
+        push_field(&mut out, "experiment", self.experiment.tag());
+        push_field(&mut out, "name", &self.name);
+        push_field(&mut out, "seed", self.seed);
+        push_list(&mut out, "ns", &self.ns);
+        push_list(&mut out, "toss_seeds", &self.toss_seeds);
+        push_list(&mut out, "intensities", &self.intensities);
         for (key, value) in [
             ("samples", self.samples),
             ("recovery_delay", self.recovery_delay),
@@ -216,8 +202,7 @@ impl JobSpec {
             ("chunk_timeout_ms", self.chunk_timeout_ms),
             ("max_events", self.max_events),
         ] {
-            out.push_str(&format!(",\"{key}\":"));
-            json::push_string(&mut out, &value.to_string());
+            push_field(&mut out, key, value);
         }
         out.push_str("}\n");
         out
@@ -227,53 +212,32 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Names the first missing or malformed field.
+    /// Names the first missing, malformed or invalid field.
     pub fn parse(text: &str) -> Result<JobSpec, String> {
         let value = json::parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .field(key)
-                .ok_or_else(|| format!("job spec: missing `{key}`"))?
-                .str_or(&format!("job spec `{key}`"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            str_field(key)?
-                .parse::<u64>()
-                .map_err(|_| format!("job spec: bad `{key}` value"))
-        };
-        let list_field = |key: &str| -> Result<Vec<u64>, String> {
-            value
-                .field(key)
-                .ok_or_else(|| format!("job spec: missing `{key}`"))?
-                .array_or(&format!("job spec `{key}`"))?
-                .iter()
-                .map(|v| {
-                    v.str_or(&format!("job spec `{key}` entry"))?
-                        .parse::<u64>()
-                        .map_err(|_| format!("job spec: bad `{key}` entry"))
-                })
-                .collect()
-        };
-        let version = str_field("version")?;
-        if version != "1" {
-            return Err(format!("job spec: unsupported version `{version}`"));
-        }
-        let spec = JobSpec {
-            experiment: JobExperiment::parse(&str_field("experiment")?)?,
-            name: str_field("name")?,
-            seed: u64_field("seed")?,
-            ns: list_field("ns")?.into_iter().map(|n| n as usize).collect(),
-            toss_seeds: list_field("toss_seeds")?,
-            samples: u64_field("samples")?,
-            intensities: list_field("intensities")?,
-            recovery_delay: u64_field("recovery_delay")?,
-            respawn_budget: u64_field("respawn_budget")?,
-            chunks: u64_field("chunks")? as usize,
-            retries: u64_field("retries")? as u32,
-            backoff_ms: u64_field("backoff_ms")?,
-            chunk_timeout_ms: u64_field("chunk_timeout_ms")?,
-            max_events: u64_field("max_events")?,
-        };
+        let spec = (|| -> Result<JobSpec, String> {
+            let version: String = field(&value, "version")?;
+            if version != "1" {
+                return Err(format!("unsupported version `{version}`"));
+            }
+            Ok(JobSpec {
+                experiment: JobExperiment::parse(&field::<String>(&value, "experiment")?)?,
+                name: field(&value, "name")?,
+                seed: field(&value, "seed")?,
+                ns: list_field(&value, "ns")?,
+                toss_seeds: list_field(&value, "toss_seeds")?,
+                samples: field(&value, "samples")?,
+                intensities: list_field(&value, "intensities")?,
+                recovery_delay: field(&value, "recovery_delay")?,
+                respawn_budget: field(&value, "respawn_budget")?,
+                chunks: field(&value, "chunks")?,
+                retries: field(&value, "retries")?,
+                backoff_ms: field(&value, "backoff_ms")?,
+                chunk_timeout_ms: field(&value, "chunk_timeout_ms")?,
+                max_events: field(&value, "max_events")?,
+            })
+        })()
+        .map_err(|e| format!("job spec: {e}"))?;
         if spec.chunks == 0 {
             return Err("job spec: `chunks` must be at least 1".into());
         }
@@ -314,121 +278,66 @@ impl JobSpec {
         llsc_shmem::fnv64(self.render().as_bytes())
     }
 
-    /// The algorithms this job sweeps, in row order.
-    fn algorithms(&self) -> Vec<Box<dyn Algorithm>> {
+    /// The spec's grid — the one map from experiment to the description
+    /// its table binary folds — with the spec's overrides applied.
+    fn grid(&self) -> Box<dyn SpecGrid> {
+        let (ns, max_events) = (&self.ns, self.max_events);
         match self.experiment {
-            JobExperiment::E4 | JobExperiment::E13 => correct_algorithms()
-                .into_iter()
-                .chain(randomized_algorithms())
-                .collect(),
-            JobExperiment::E6 => randomized_algorithms(),
-            // The hardened trio (memory-fault arm) then the recoverable
-            // trio (crash-recovery arm); e20 validates ns.len() == 1.
+            JobExperiment::E4 => Box::new(SubsetGrid::new(ns, &self.toss_seeds, false, max_events)),
+            JobExperiment::E13 => Box::new(SubsetGrid::new(ns, &[0], true, max_events)),
+            JobExperiment::E6 => Box::new(SampleGrid::new(ns, self.samples, max_events)),
             JobExperiment::E20 => {
-                let n = self.ns.first().copied().unwrap_or(2);
+                let levels: Vec<usize> = self.intensities.iter().map(|&i| i as usize).collect();
+                let max_events = if max_events > 0 {
+                    max_events
+                } else {
+                    DEFAULT_MAX_EVENTS
+                };
+                let n = ns.first().copied().unwrap_or_default();
                 let kind = Degradation::ChaosRecovery;
-                (0..kind.algorithm_count())
-                    .map(|a| kind.algorithm(a, n))
-                    .collect()
+                Box::new(
+                    DegradationGrid::new(kind, n, &levels, self.samples as usize, max_events)
+                        .with_recovery(self.recovery_delay, self.respawn_budget),
+                )
             }
         }
-    }
-
-    /// The flat trial-space cells, in row order. A *cell* is the unit the
-    /// assembler groups by: one `(algorithm, n, toss seed)` subset sweep
-    /// for E4, one `(algorithm, n)` sweep for E6/E13.
-    fn cells(&self) -> Vec<Cell> {
-        let algs = self.algorithms().len();
-        let mut cells = Vec::new();
-        let mut start = 0usize;
-        let mut push = |alg: usize, n: usize, toss_seed: u64, intensity: usize, len: usize| {
-            cells.push(Cell {
-                start,
-                len,
-                alg,
-                n,
-                toss_seed,
-                intensity,
-            });
-            start += len;
-        };
-        match self.experiment {
-            JobExperiment::E4 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
-                        for &seed in &self.toss_seeds {
-                            push(alg, n, seed, 0, 1usize << n);
-                        }
-                    }
-                }
-            }
-            JobExperiment::E6 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
-                        push(alg, n, 0, 0, self.samples as usize);
-                    }
-                }
-            }
-            JobExperiment::E13 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
-                        push(alg, n, 0, 0, 1usize << n);
-                    }
-                }
-            }
-            // Matches the item order of `degradation_sweep`:
-            // algorithm-major, then intensity, then repetition — so the
-            // flat index space (and with it every derived trial seed)
-            // lines up with the table binary's.
-            JobExperiment::E20 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
-                        for &intensity in &self.intensities {
-                            push(alg, n, 0, intensity as usize, self.samples as usize);
-                        }
-                    }
-                }
-            }
-        }
-        cells
     }
 
     /// Total trials in the job's flat index space.
     pub fn total_trials(&self) -> usize {
-        self.cells().iter().map(|c| c.len).sum()
-    }
-
-    /// The adversary configuration the job's trials run under.
-    fn adversary_config(&self) -> AdversaryConfig {
-        let mut cfg = match self.experiment {
-            JobExperiment::E6 => AdversaryConfig {
-                max_rounds: 10_000,
-                ..AdversaryConfig::default()
-            },
-            _ => AdversaryConfig::default(),
-        };
-        if self.max_events > 0 {
-            cfg.executor.max_events = self.max_events;
-        }
-        cfg
+        self.grid().total()
     }
 }
 
-/// One contiguous cell of the flat trial space.
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    /// Global index of the cell's first trial.
-    start: usize,
-    /// Number of trials in the cell.
-    len: usize,
-    /// Index into [`JobSpec::algorithms`].
-    alg: usize,
-    /// Process count.
-    n: usize,
-    /// Toss seed (E4; `0` means [`ZeroTosses`]).
-    toss_seed: u64,
-    /// Chaos intensity (E20).
-    intensity: usize,
+/// The job engine's view of a [`Grid`], its trial type erased.
+trait SpecGrid {
+    fn total(&self) -> usize;
+
+    fn drive(
+        &self,
+        dir: &Path,
+        spec: &JobSpec,
+        loaded: Option<checkpoint::LoadedCheckpoint>,
+        threads: usize,
+        control: &JobControl,
+    ) -> Result<JobReport, String>;
+}
+
+impl<G: Grid> SpecGrid for G {
+    fn total(&self) -> usize {
+        grid::total(self)
+    }
+
+    fn drive(
+        &self,
+        dir: &Path,
+        spec: &JobSpec,
+        loaded: Option<checkpoint::LoadedCheckpoint>,
+        threads: usize,
+        control: &JobControl,
+    ) -> Result<JobReport, String> {
+        drive(self, dir, spec, loaded, threads, control)
+    }
 }
 
 /// Splits `total` trials into `chunks` contiguous `(start, len)` ranges,
@@ -446,228 +355,6 @@ pub fn chunk_bounds(total: usize, chunks: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     bounds
-}
-
-/// One trial's persisted result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum TrialRecord {
-    /// An E4/E13 subset comparison.
-    Subset {
-        /// Global trial index.
-        index: usize,
-        /// Cell index (assembler group).
-        cell: usize,
-        /// Subset bitmask within the cell.
-        mask: usize,
-        /// Lemma 5.2 comparisons performed.
-        comparisons: usize,
-        /// Appendix-claim instances evaluated.
-        claims: usize,
-        /// Violations, rendered.
-        violations: Vec<String>,
-    },
-    /// An E6 toss-assignment sample.
-    Sample {
-        /// Global trial index.
-        index: usize,
-        /// Cell index (assembler group).
-        cell: usize,
-        /// The sampled contribution.
-        sample: ExpectationSample,
-    },
-    /// An E20 classified chaos trial.
-    Chaos {
-        /// Global trial index.
-        index: usize,
-        /// Cell index (assembler group).
-        cell: usize,
-        /// Degradation class (`recovered`, `detected-wrong`, …).
-        class: String,
-        /// Crashes delivered.
-        crashes: u64,
-        /// Recoveries performed.
-        recoveries: u64,
-        /// Spurious SC failures delivered.
-        spurious_sc: u64,
-        /// Register corruptions delivered.
-        corruptions: u64,
-        /// CC-model remote memory references billed.
-        cc_rmrs: u64,
-        /// DSM-model remote memory references billed.
-        dsm_rmrs: u64,
-    },
-}
-
-impl TrialRecord {
-    fn index(&self) -> usize {
-        match self {
-            TrialRecord::Subset { index, .. }
-            | TrialRecord::Sample { index, .. }
-            | TrialRecord::Chaos { index, .. } => *index,
-        }
-    }
-
-    fn cell(&self) -> usize {
-        match self {
-            TrialRecord::Subset { cell, .. }
-            | TrialRecord::Sample { cell, .. }
-            | TrialRecord::Chaos { cell, .. } => *cell,
-        }
-    }
-
-    fn render(&self, out: &mut String) {
-        let field = |out: &mut String, key: &str, value: &str, first: bool| {
-            if !first {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{key}\":"));
-            json::push_string(out, value);
-        };
-        out.push('{');
-        match self {
-            TrialRecord::Subset {
-                index,
-                cell,
-                mask,
-                comparisons,
-                claims,
-                violations,
-            } => {
-                field(out, "kind", "subset", true);
-                field(out, "index", &index.to_string(), false);
-                field(out, "cell", &cell.to_string(), false);
-                field(out, "mask", &mask.to_string(), false);
-                field(out, "comparisons", &comparisons.to_string(), false);
-                field(out, "claims", &claims.to_string(), false);
-                out.push_str(",\"violations\":[");
-                for (i, v) in violations.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_string(out, v);
-                }
-                out.push(']');
-            }
-            TrialRecord::Sample {
-                index,
-                cell,
-                sample,
-            } => {
-                field(out, "kind", "sample", true);
-                field(out, "index", &index.to_string(), false);
-                field(out, "cell", &cell.to_string(), false);
-                field(
-                    out,
-                    "terminated",
-                    if sample.terminated { "1" } else { "0" },
-                    false,
-                );
-                field(
-                    out,
-                    "wakeup_ok",
-                    if sample.wakeup_ok { "1" } else { "0" },
-                    false,
-                );
-                let opt = |v: Option<u64>| v.map_or("none".to_string(), |x| x.to_string());
-                field(out, "winner_steps", &opt(sample.winner_steps), false);
-                field(out, "max_steps", &opt(sample.max_steps), false);
-            }
-            TrialRecord::Chaos {
-                index,
-                cell,
-                class,
-                crashes,
-                recoveries,
-                spurious_sc,
-                corruptions,
-                cc_rmrs,
-                dsm_rmrs,
-            } => {
-                field(out, "kind", "chaos", true);
-                field(out, "index", &index.to_string(), false);
-                field(out, "cell", &cell.to_string(), false);
-                field(out, "class", class, false);
-                field(out, "crashes", &crashes.to_string(), false);
-                field(out, "recoveries", &recoveries.to_string(), false);
-                field(out, "spurious_sc", &spurious_sc.to_string(), false);
-                field(out, "corruptions", &corruptions.to_string(), false);
-                field(out, "cc_rmrs", &cc_rmrs.to_string(), false);
-                field(out, "dsm_rmrs", &dsm_rmrs.to_string(), false);
-            }
-        }
-        out.push('}');
-    }
-
-    fn parse(value: &json::Value) -> Result<TrialRecord, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .field(key)
-                .ok_or_else(|| format!("trial record: missing `{key}`"))?
-                .str_or(&format!("trial record `{key}`"))
-        };
-        let num = |key: &str| -> Result<usize, String> {
-            str_field(key)?
-                .parse::<usize>()
-                .map_err(|_| format!("trial record: bad `{key}`"))
-        };
-        match str_field("kind")?.as_str() {
-            "subset" => Ok(TrialRecord::Subset {
-                index: num("index")?,
-                cell: num("cell")?,
-                mask: num("mask")?,
-                comparisons: num("comparisons")?,
-                claims: num("claims")?,
-                violations: value
-                    .field("violations")
-                    .ok_or("trial record: missing `violations`")?
-                    .array_or("trial record `violations`")?
-                    .iter()
-                    .map(|v| v.str_or("violation entry"))
-                    .collect::<Result<_, _>>()?,
-            }),
-            "sample" => {
-                let opt = |key: &str| -> Result<Option<u64>, String> {
-                    let s = str_field(key)?;
-                    if s == "none" {
-                        Ok(None)
-                    } else {
-                        s.parse::<u64>()
-                            .map(Some)
-                            .map_err(|_| format!("trial record: bad `{key}`"))
-                    }
-                };
-                Ok(TrialRecord::Sample {
-                    index: num("index")?,
-                    cell: num("cell")?,
-                    sample: ExpectationSample {
-                        terminated: str_field("terminated")? == "1",
-                        wakeup_ok: str_field("wakeup_ok")? == "1",
-                        winner_steps: opt("winner_steps")?,
-                        max_steps: opt("max_steps")?,
-                    },
-                })
-            }
-            "chaos" => {
-                let u64_field = |key: &str| -> Result<u64, String> {
-                    str_field(key)?
-                        .parse::<u64>()
-                        .map_err(|_| format!("trial record: bad `{key}`"))
-                };
-                Ok(TrialRecord::Chaos {
-                    index: num("index")?,
-                    cell: num("cell")?,
-                    class: str_field("class")?,
-                    crashes: u64_field("crashes")?,
-                    recoveries: u64_field("recoveries")?,
-                    spurious_sc: u64_field("spurious_sc")?,
-                    corruptions: u64_field("corruptions")?,
-                    cc_rmrs: u64_field("cc_rmrs")?,
-                    dsm_rmrs: u64_field("dsm_rmrs")?,
-                })
-            }
-            other => Err(format!("trial record: unknown kind `{other}`")),
-        }
-    }
 }
 
 /// A chunk that exhausted its retry budget.
@@ -750,6 +437,9 @@ pub struct JobReport {
     pub total_chunks: usize,
     /// Chunks that exhausted their retry budget in this invocation.
     pub failed: Vec<ChunkFailure>,
+    /// Failures the artifact lists: failed trials and refuted checks of
+    /// the rows it holds.
+    pub failed_trials: usize,
     /// Checkpoints that were skipped as invalid while loading state.
     pub fallback_notes: Vec<String>,
     /// The final artifact path (written unless the run was interrupted).
@@ -757,21 +447,47 @@ pub struct JobReport {
 }
 
 /// In-memory job state, round-tripped through checkpoints.
-struct JobState {
+struct JobState<T> {
     completed: BTreeSet<usize>,
-    records: Vec<TrialRecord>,
+    /// The recorded trials' global indices, ascending.
+    indices: Vec<usize>,
+    /// Their results, in the same order.
+    trials: Vec<T>,
     next_seq: u64,
     fallback_notes: Vec<String>,
 }
 
-impl JobState {
-    fn fresh() -> JobState {
+impl<T> JobState<T> {
+    fn fresh() -> JobState<T> {
         JobState {
             completed: BTreeSet::new(),
-            records: Vec::new(),
+            indices: Vec::new(),
+            trials: Vec::new(),
             next_seq: 1,
             fallback_notes: Vec::new(),
         }
+    }
+
+    /// Records the results of trials `start .. start + trials.len()`,
+    /// replacing any already recorded there.
+    fn insert(&mut self, start: usize, trials: Vec<T>) {
+        let end = start + trials.len();
+        let lo = self.indices.partition_point(|&i| i < start);
+        let hi = self.indices.partition_point(|&i| i < end);
+        self.indices.splice(lo..hi, start..end);
+        self.trials.splice(lo..hi, trials);
+    }
+
+    /// Each cell's results, or `None` where some are missing.
+    fn by_cell(&self, cells: &[Range<usize>]) -> Vec<Option<&[T]>> {
+        cells
+            .iter()
+            .map(|cell| {
+                let lo = self.indices.partition_point(|&i| i < cell.start);
+                let hi = self.indices.partition_point(|&i| i < cell.end);
+                (hi - lo == cell.len()).then(|| &self.trials[lo..hi])
+            })
+            .collect()
     }
 }
 
@@ -794,77 +510,102 @@ pub fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.json")
 }
 
-fn render_checkpoint(spec: &JobSpec, state: &JobState) -> String {
+/// Renders a checkpoint payload: the spec's fingerprint, the completed
+/// chunks and one record per trial — its index and cell, then the fields
+/// the grid's codec writes.
+fn render_checkpoint<G: Grid>(spec: &JobSpec, grid: &G, state: &JobState<G::Trial>) -> String {
     let mut out = String::from("{\"experiment\":");
     json::push_string(&mut out, spec.experiment.tag());
-    out.push_str(",\"spec_fnv64\":");
-    json::push_string(&mut out, &format!("{:016x}", spec.fingerprint()));
-    out.push_str(",\"rng\":");
-    json::push_string(
+    push_field(
         &mut out,
-        &format!(
-            "sweep_seed={:#018x}; trial seeds derive as split_mix over (seed, index)",
-            spec.seed
-        ),
+        "spec_fnv64",
+        format!("{:016x}", spec.fingerprint()),
     );
-    out.push_str(",\"completed\":[");
-    for (i, chunk) in state.completed.iter().enumerate() {
+    let rng = "trial seeds derive as split_mix over (seed, index)";
+    push_field(
+        &mut out,
+        "rng",
+        format!("sweep_seed={:#018x}; {rng}", spec.seed),
+    );
+    push_list(&mut out, "completed", &state.completed);
+    out.push_str(",\"records\":[");
+    let cells = grid.cells();
+    for (i, (index, trial)) in state.indices.iter().zip(&state.trials).enumerate() {
         if i > 0 {
             out.push(',');
         }
-        json::push_string(&mut out, &chunk.to_string());
-    }
-    out.push_str("],\"records\":[");
-    for (i, record) in state.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        record.render(&mut out);
+        out.push_str("{\"index\":");
+        json::push_string(&mut out, &index.to_string());
+        push_field(&mut out, "cell", grid::cell_of(cells, *index));
+        grid.encode(trial, &mut out);
+        out.push('}');
     }
     out.push_str("]}");
     out
 }
 
-fn parse_checkpoint(
+/// Parses a checkpoint payload, checks it belongs to `spec`, and returns
+/// it with its completed chunks.
+fn open_checkpoint(
     spec: &JobSpec,
     payload: &[u8],
-) -> Result<(BTreeSet<usize>, Vec<TrialRecord>), String> {
+) -> Result<(json::Value, BTreeSet<usize>), String> {
     let text = std::str::from_utf8(payload).map_err(|_| "checkpoint payload is not UTF-8")?;
     let value = json::parse(text)?;
-    let fnv = value
-        .field("spec_fnv64")
-        .ok_or("checkpoint: missing `spec_fnv64`")?
-        .str_or("checkpoint `spec_fnv64`")?;
+    let fnv: String = field(&value, "spec_fnv64").map_err(|e| format!("checkpoint: {e}"))?;
     let expected = format!("{:016x}", spec.fingerprint());
     if fnv != expected {
         return Err(format!(
             "checkpoint belongs to a different job spec (fingerprint {fnv}, expected {expected})"
         ));
     }
-    let completed = value
-        .field("completed")
-        .ok_or("checkpoint: missing `completed`")?
-        .array_or("checkpoint `completed`")?
-        .iter()
-        .map(|v| {
-            v.str_or("completed chunk")?
-                .parse::<usize>()
-                .map_err(|_| "checkpoint: bad chunk index".to_string())
-        })
-        .collect::<Result<BTreeSet<usize>, String>>()?;
-    let records = value
+    let completed = list_field(&value, "completed").map_err(|e| format!("checkpoint: {e}"))?;
+    Ok((value, completed.into_iter().collect()))
+}
+
+/// An opened checkpoint's trial records, still encoded.
+fn trial_records(value: &json::Value) -> Result<&[json::Value], String> {
+    value
         .field("records")
         .ok_or("checkpoint: missing `records`")?
-        .array_or("checkpoint `records`")?
+        .array_or("checkpoint `records`")
+}
+
+/// Loads a job's state from a checkpoint, decoding its records with the
+/// grid's codec.
+fn load_state<G: Grid>(
+    spec: &JobSpec,
+    grid: &G,
+    loaded: &checkpoint::LoadedCheckpoint,
+) -> Result<JobState<G::Trial>, String> {
+    let (value, completed) = open_checkpoint(spec, &loaded.payload)?;
+    let mut records = trial_records(&value)?
         .iter()
-        .map(TrialRecord::parse)
-        .collect::<Result<Vec<TrialRecord>, String>>()?;
-    Ok((completed, records))
+        .map(|record| {
+            let index = field(record, "index")?;
+            Ok((index, grid.decode(index, record)?))
+        })
+        .collect::<Result<Vec<(usize, G::Trial)>, String>>()
+        .map_err(|e| format!("trial record: {e}"))?;
+    records.sort_by_key(|r| r.0);
+    records.dedup_by_key(|r| r.0);
+    let (indices, trials) = records.into_iter().unzip();
+    Ok(JobState {
+        completed,
+        indices,
+        trials,
+        next_seq: loaded.seq + 1,
+        fallback_notes: loaded
+            .skipped
+            .iter()
+            .map(|s| format!("seq={}: {}", s.seq, s.error))
+            .collect(),
+    })
 }
 
 /// How one chunk attempt ended.
-enum AttemptOutcome {
-    Success(Vec<TrialRecord>),
+enum AttemptOutcome<T> {
+    Success(T),
     Interrupted,
     Failed { kind: &'static str, message: String },
 }
@@ -873,24 +614,27 @@ enum AttemptOutcome {
 /// interrupt flag. The body executes on a scoped worker thread and runs
 /// its sweeps on `sweep` with a fresh cancel token; on timeout or
 /// interrupt the monitor raises that token, the body's in-flight trials
-/// panic at their next executor poll, and the unwound attempt is
-/// classified from what the monitor saw.
-fn run_chunk_guarded(
+/// stop at their next executor poll, and the attempt is classified from
+/// what the monitor saw. A body that returns after the token was raised
+/// produced no result — it may carry the cancelled trials as failures —
+/// so it is classified like one that unwound or returned an error.
+fn run_chunk_guarded<T: Send>(
     timeout: Option<Duration>,
     interrupt: &AtomicBool,
     sweep: Sweep,
-    body: impl FnOnce(&Sweep) -> Result<Vec<TrialRecord>, String> + Send,
-) -> AttemptOutcome {
-    type BodyResult = std::thread::Result<Result<Vec<TrialRecord>, String>>;
+    body: impl FnOnce(&Sweep) -> Result<T, String> + Send,
+) -> AttemptOutcome<T> {
     let cancel = Arc::new(AtomicBool::new(false));
     let sweep = sweep.with_cancel(cancel.clone());
     let done = AtomicBool::new(false);
-    let slot: Mutex<Option<BodyResult>> = Mutex::new(None);
+    type Attempt<T> = (std::thread::Result<Result<T, String>>, bool);
+    let slot: Mutex<Option<Attempt<T>>> = Mutex::new(None);
     let (mut interrupted, mut timed_out) = (false, false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let result = catch_unwind(AssertUnwindSafe(|| body(&sweep)));
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+            let cancelled = cancel.load(Ordering::SeqCst);
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some((result, cancelled));
             done.store(true, Ordering::SeqCst);
         });
         let started = Instant::now();
@@ -906,428 +650,68 @@ fn run_chunk_guarded(
             }
         }
     });
-    let result = slot
+    let (result, cancelled) = slot
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .take()
         .expect("worker stored its result before setting done");
-    match result {
-        Ok(Ok(records)) => AttemptOutcome::Success(records),
-        Ok(Err(message)) => AttemptOutcome::Failed {
-            kind: "run-error",
-            message,
-        },
-        Err(panic) => {
-            let message = llsc_shmem::panic_message(panic.as_ref());
-            if interrupted {
-                AttemptOutcome::Interrupted
-            } else if timed_out {
-                AttemptOutcome::Failed {
-                    kind: "timeout",
-                    message: format!("chunk exceeded its wall-clock budget ({message})"),
-                }
-            } else {
-                AttemptOutcome::Failed {
-                    kind: "panic",
-                    message,
-                }
-            }
-        }
-    }
-}
-
-/// Executes the trials `start .. start + len` of the job's flat index
-/// space and returns their records in index order.
-fn run_chunk_body(
-    spec: &JobSpec,
-    cells: &[Cell],
-    start: usize,
-    len: usize,
-    sweep: &Sweep,
-) -> Result<Vec<TrialRecord>, String> {
-    let algs = spec.algorithms();
-    let cfg = spec.adversary_config();
-    let end = start + len;
-    let mut records = Vec::with_capacity(len);
-    for (cell_index, cell) in cells.iter().enumerate() {
-        let lo = start.max(cell.start);
-        let hi = end.min(cell.start + cell.len);
-        if lo >= hi {
-            continue;
-        }
-        let local_lo = lo - cell.start;
-        let local_count = hi - lo;
-        let alg = algs[cell.alg].as_ref();
-        match spec.experiment {
-            JobExperiment::E4 | JobExperiment::E13 => {
-                let toss: Arc<dyn llsc_shmem::TossAssignment> = if cell.toss_seed == 0 {
-                    Arc::new(ZeroTosses)
-                } else {
-                    Arc::new(SeededTosses::new(cell.toss_seed))
-                };
-                let check_claims = spec.experiment == JobExperiment::E13;
-                let chunk = indist_subset_range(
-                    alg,
-                    cell.n,
-                    toss,
-                    &cfg,
-                    check_claims,
-                    sweep,
-                    local_lo..local_lo + local_count,
-                )
-                .map_err(|e| {
-                    format!(
-                        "alg={} n={} toss_seed={}: {e:?}",
-                        alg.name(),
-                        cell.n,
-                        cell.toss_seed
-                    )
-                })?;
-                records.extend(chunk.records.into_iter().map(|r| TrialRecord::Subset {
-                    index: cell.start + r.mask,
-                    cell: cell_index,
-                    mask: r.mask,
-                    comparisons: r.comparisons,
-                    claims: r.claim_instances,
-                    violations: r.violations,
-                }));
-            }
-            JobExperiment::E6 => {
-                let seeds: Vec<u64> = (local_lo as u64..(local_lo + local_count) as u64).collect();
-                let sampled = sweep
-                    .run(&seeds, |_trial, &seed| {
-                        sample_expectation(alg, cell.n, seed, &cfg)
-                    })
-                    .into_iter()
-                    .collect::<Result<Vec<ExpectationSample>, _>>()
-                    .map_err(|e| format!("alg={} n={}: {e:?}", alg.name(), cell.n))?;
-                records.extend(sampled.into_iter().enumerate().map(|(i, sample)| {
-                    TrialRecord::Sample {
-                        index: cell.start + local_lo + i,
-                        cell: cell_index,
-                        sample,
-                    }
-                }));
-            }
-            JobExperiment::E20 => {
-                let kind = Degradation::ChaosRecovery;
-                let max_events = if spec.max_events > 0 {
-                    spec.max_events
-                } else {
-                    DEFAULT_MAX_EVENTS
-                };
-                // Trial identity is the global index alone (`run_range`
-                // derives each seed from `(sweep seed, global index)`),
-                // so chunked execution reproduces exactly the trials
-                // `degradation_sweep` runs — same cases, same classes,
-                // same counters — unless the spec overrides the
-                // crash-recovery arm's knobs.
-                let chunk = sweep.run_range(
-                    lo..hi,
-                    || (),
-                    |(), trial| {
-                        let mut case =
-                            kind.case(cell.alg, cell.n, cell.intensity, trial.seed, max_events);
-                        if let Some(recovery) = case.recovery.as_mut() {
-                            if spec.recovery_delay > 0 {
-                                recovery.delay = spec.recovery_delay;
-                            }
-                            if spec.respawn_budget > 0 {
-                                recovery.budget = spec.respawn_budget;
-                            }
-                        }
-                        kind.trial(cell.alg, cell.intensity, trial.seed, &case)
-                    },
-                );
-                records.extend(chunk.into_iter().enumerate().map(|(i, t)| {
-                    let c = t.counters;
-                    TrialRecord::Chaos {
-                        index: lo + i,
-                        cell: cell_index,
-                        class: t.class,
-                        crashes: c.crashes,
-                        recoveries: c.recoveries,
-                        spurious_sc: c.spurious_sc,
-                        corruptions: c.corruptions,
-                        cc_rmrs: c.cc_rmrs,
-                        dsm_rmrs: c.dsm_rmrs,
-                    }
-                }));
-            }
-        }
-    }
-    Ok(records)
-}
-
-fn chunk_context(spec: &JobSpec, cells: &[Cell], start: usize, len: usize) -> String {
-    let algs = spec.algorithms();
-    let end = start + len;
-    let mut parts = Vec::new();
-    for cell in cells {
-        if start.max(cell.start) >= end.min(cell.start + cell.len) {
-            continue;
-        }
-        parts.push(match spec.experiment {
-            JobExperiment::E4 => format!(
-                "alg={} n={} toss_seed={}",
-                algs[cell.alg].name(),
-                cell.n,
-                cell.toss_seed
-            ),
-            JobExperiment::E20 => format!(
-                "alg={} n={} intensity={}",
-                algs[cell.alg].name(),
-                cell.n,
-                cell.intensity
-            ),
-            _ => format!("alg={} n={}", algs[cell.alg].name(), cell.n),
-        });
-    }
-    format!(
-        "{} trials {start}..{end}: {}",
-        spec.experiment.tag(),
-        parts.join("; ")
-    )
-}
-
-/// Assembles the final table artifact from the persisted records —
-/// a pure function of `(spec, records)`, so chunked, resumed, and
-/// uninterrupted runs agree byte for byte. Rows whose trials are not all
-/// present (failed chunks) are omitted and reported in the returned list
-/// of incomplete row labels.
-fn assemble(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
-    let algs = spec.algorithms();
-    let cells = spec.cells();
-    let mut by_cell: Vec<Vec<&TrialRecord>> = vec![Vec::new(); cells.len()];
-    for record in records {
-        if record.cell() < by_cell.len() {
-            by_cell[record.cell()].push(record);
-        }
-    }
-    for group in &mut by_cell {
-        group.sort_by_key(|r| r.index());
-        group.dedup_by_key(|r| r.index());
-    }
-    let complete = |cell: usize| by_cell[cell].len() == cells[cell].len;
-
-    let mut incomplete = Vec::new();
-    let table = match spec.experiment {
-        JobExperiment::E4 => {
-            let mut table = Table::new(
-                E4_TITLE,
-                ["algorithm", "n", "subsets", "comparisons", "violations"],
-            );
-            // Cells are laid out alg-major, then n, then toss seed: each
-            // row merges `toss_seeds.len()` consecutive cells.
-            let per_row = spec.toss_seeds.len();
-            for (row, cell_block) in cells.chunks(per_row).enumerate() {
-                let first = row * per_row;
-                let alg = algs[cell_block[0].alg].name().to_string();
-                let n = cell_block[0].n;
-                if !(first..first + per_row).all(complete) {
-                    incomplete.push(format!("alg={alg} n={n}"));
-                    continue;
-                }
-                let mut subsets = 0usize;
-                let mut comparisons = 0usize;
-                let mut violations = 0usize;
-                for cell_records in by_cell.iter().skip(first).take(per_row) {
-                    subsets += cell_records.len();
-                    for record in cell_records {
-                        if let TrialRecord::Subset {
-                            comparisons: c,
-                            violations: v,
-                            ..
-                        } = record
-                        {
-                            comparisons += c;
-                            violations += v.len();
-                        }
-                    }
-                }
-                table.row([
-                    alg,
-                    n.to_string(),
-                    subsets.to_string(),
-                    comparisons.to_string(),
-                    violations.to_string(),
-                ]);
-            }
-            table
-        }
-        JobExperiment::E6 => {
-            let mut table = Table::new(
-                E6_TITLE,
-                [
-                    "algorithm",
-                    "n",
-                    "c",
-                    "E[winner]",
-                    "min winner",
-                    "c*k",
-                    "log4(n)",
-                ],
-            );
-            for (cell_index, cell) in cells.iter().enumerate() {
-                let alg = algs[cell.alg].name();
-                if !complete(cell_index) {
-                    incomplete.push(format!("alg={alg} n={}", cell.n));
-                    continue;
-                }
-                let samples: Vec<ExpectationSample> = by_cell[cell_index]
-                    .iter()
-                    .filter_map(|r| match r {
-                        TrialRecord::Sample { sample, .. } => Some(sample.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let rep = report_from_samples(alg, cell.n, &samples);
-                table.row([
-                    alg.to_string(),
-                    cell.n.to_string(),
-                    format!("{:.2}", rep.termination_rate),
-                    format!("{:.1}", rep.mean_winner_steps),
-                    rep.min_winner_steps.to_string(),
-                    format!("{:.2}", rep.lemma_3_1_bound),
-                    format!("{:.2}", rep.log4_n),
-                ]);
-            }
-            table
-        }
-        JobExperiment::E13 => {
-            let mut table = Table::new(E13_TITLE, ["algorithm", "n", "subsets", "violations"]);
-            for (cell_index, cell) in cells.iter().enumerate() {
-                let alg = algs[cell.alg].name();
-                if !complete(cell_index) {
-                    incomplete.push(format!("alg={alg} n={}", cell.n));
-                    continue;
-                }
-                let violations: usize = by_cell[cell_index]
-                    .iter()
-                    .map(|r| match r {
-                        TrialRecord::Subset { violations, .. } => violations.len(),
-                        _ => 0,
-                    })
-                    .sum();
-                table.row([
-                    alg.to_string(),
-                    cell.n.to_string(),
-                    (1u64 << cell.n).to_string(),
-                    violations.to_string(),
-                ]);
-            }
-            table
-        }
-        JobExperiment::E20 => {
-            let kind = Degradation::ChaosRecovery;
-            let n = spec.ns.first().copied().unwrap_or(2);
-            // One job cell per `(algorithm, intensity)` — exactly the
-            // cells `degradation_sweep` tallies, so a complete job's rows
-            // match the table binary's byte for byte.
-            let mut rows = Vec::new();
-            for (cell_index, cell) in cells.iter().enumerate() {
-                if !complete(cell_index) {
-                    incomplete.push(format!(
-                        "alg={} intensity={}",
-                        algs[cell.alg].name(),
-                        cell.intensity
-                    ));
-                    continue;
-                }
-                let mut row = kind.row(cell.alg, n, cell.intensity);
-                for record in &by_cell[cell_index] {
-                    if let TrialRecord::Chaos {
-                        class,
-                        crashes,
-                        recoveries,
-                        spurious_sc,
-                        corruptions,
-                        cc_rmrs,
-                        dsm_rmrs,
-                        ..
-                    } = record
-                    {
-                        // A checkpoint keeps what the E20 table shows:
-                        // the class and the cost counters.
-                        row.tally(&TrialResult {
-                            class: class.clone(),
-                            safe: true,
-                            counters: CaseCounters {
-                                crashes: *crashes,
-                                recoveries: *recoveries,
-                                spurious_sc: *spurious_sc,
-                                corruptions: *corruptions,
-                                cc_rmrs: *cc_rmrs,
-                                dsm_rmrs: *dsm_rmrs,
-                                ..CaseCounters::default()
-                            },
-                            shrunk: None,
-                        });
-                    }
-                }
-                rows.push(row);
-            }
-            kind.table(n, spec.samples as usize, &rows)
-        }
+    let (kind, message) = match result {
+        Ok(Ok(trials)) if !cancelled => return AttemptOutcome::Success(trials),
+        Ok(Ok(_)) => ("run-error", "its trials were cancelled".to_string()),
+        Ok(Err(message)) => ("run-error", message),
+        Err(panic) => ("panic", llsc_shmem::panic_message(panic.as_ref())),
     };
-    (table, incomplete)
+    if interrupted {
+        AttemptOutcome::Interrupted
+    } else if timed_out {
+        AttemptOutcome::Failed {
+            kind: "timeout",
+            message: format!("chunk exceeded its wall-clock budget ({message})"),
+        }
+    } else {
+        AttemptOutcome::Failed { kind, message }
+    }
 }
 
-fn render_manifest(
+fn render_manifest<T, R>(
     spec: &JobSpec,
     status: JobStatus,
-    state: &JobState,
+    state: &JobState<T>,
+    total_trials: usize,
     total_chunks: usize,
     failed: &[ChunkFailure],
-    incomplete_rows: &[String],
+    fold: &grid::Fold<R>,
 ) -> String {
     let mut out = String::from("{\"name\":");
     json::push_string(&mut out, &spec.name);
-    out.push_str(",\"experiment\":");
-    json::push_string(&mut out, spec.experiment.tag());
-    out.push_str(",\"status\":");
-    json::push_string(&mut out, status.tag());
+    push_field(&mut out, "experiment", spec.experiment.tag());
+    push_field(&mut out, "status", status.tag());
     for (key, value) in [
-        ("chunks", total_chunks.to_string()),
-        ("completed", state.completed.len().to_string()),
-        ("trials", state.records.len().to_string()),
-        ("total_trials", spec.total_trials().to_string()),
+        ("chunks", total_chunks),
+        ("completed", state.completed.len()),
+        ("trials", state.trials.len()),
+        ("total_trials", total_trials),
+        ("failed_trials", fold.failures.len()),
     ] {
-        out.push_str(&format!(",\"{key}\":"));
-        json::push_string(&mut out, &value);
+        push_field(&mut out, key, value);
     }
-    out.push_str(",\"incomplete_rows\":[");
-    for (i, row) in incomplete_rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_string(&mut out, row);
-    }
-    out.push_str("],\"failed\":[");
+    push_list(&mut out, "incomplete_rows", &fold.incomplete);
+    out.push_str(",\"failed\":[");
     for (i, f) in failed.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"chunk\":");
         json::push_string(&mut out, &f.chunk.to_string());
-        out.push_str(",\"attempts\":");
-        json::push_string(&mut out, &f.attempts.to_string());
-        out.push_str(",\"kind\":");
-        json::push_string(&mut out, &f.kind);
-        out.push_str(",\"message\":");
-        json::push_string(&mut out, &f.message);
-        out.push_str(",\"context\":");
-        json::push_string(&mut out, &f.context);
+        push_field(&mut out, "attempts", f.attempts);
+        push_field(&mut out, "kind", &f.kind);
+        push_field(&mut out, "message", &f.message);
+        push_field(&mut out, "context", &f.context);
         out.push('}');
     }
-    out.push_str("],\"fallback_checkpoints\":[");
-    for (i, note) in state.fallback_notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_string(&mut out, note);
-    }
-    out.push_str("]}\n");
+    out.push(']');
+    push_list(&mut out, "fallback_checkpoints", &state.fallback_notes);
+    out.push_str("}\n");
     out
 }
 
@@ -1336,14 +720,16 @@ fn render_manifest(
 ///
 /// # Errors
 ///
-/// I/O errors, a populated checkpoint directory, or chunk execution
-/// errors surfaced through the returned report's `failed` list.
+/// An invalid spec, I/O errors, or a populated checkpoint directory;
+/// chunk execution errors surface through the returned report's `failed`
+/// list.
 pub fn run_job(
     dir: &Path,
     spec: &JobSpec,
     threads: usize,
     control: &JobControl,
 ) -> Result<JobReport, String> {
+    let spec = JobSpec::parse(&spec.render())?;
     if !checkpoint::list_seqs(&checkpoint_dir(dir)).is_empty() {
         return Err(format!(
             "{} already has checkpoints; use `llsc job resume`",
@@ -1353,7 +739,7 @@ pub fn run_job(
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     atomic_write(&spec_path(dir), spec.render())
         .map_err(|e| format!("cannot write {}: {e}", spec_path(dir).display()))?;
-    drive(dir, spec, JobState::fresh(), threads, control)
+    spec.grid().drive(dir, &spec, None, threads, control)
 }
 
 /// Resumes the job in `dir` from its newest valid checkpoint (or from
@@ -1366,19 +752,8 @@ pub fn run_job(
 /// a different spec.
 pub fn resume_job(dir: &Path, threads: usize, control: &JobControl) -> Result<JobReport, String> {
     let spec = load_spec(dir)?;
-    let mut state = JobState::fresh();
-    if let Some(loaded) = checkpoint::load_latest(&checkpoint_dir(dir)) {
-        let (completed, records) = parse_checkpoint(&spec, &loaded.payload)?;
-        state.completed = completed;
-        state.records = records;
-        state.next_seq = loaded.seq + 1;
-        state.fallback_notes = loaded
-            .skipped
-            .iter()
-            .map(|s| format!("seq={}: {}", s.seq, s.error))
-            .collect();
-    }
-    drive(dir, &spec, state, threads, control)
+    let loaded = checkpoint::load_latest(&checkpoint_dir(dir));
+    spec.grid().drive(dir, &spec, loaded, threads, control)
 }
 
 /// Loads a job directory's spec.
@@ -1393,16 +768,31 @@ pub fn load_spec(dir: &Path) -> Result<JobSpec, String> {
     JobSpec::parse(&text)
 }
 
-fn drive(
+/// The job loop on `grid`: runs every chunk not yet completed (from
+/// `loaded`'s state, or from scratch), checkpointing after each, then
+/// writes the grid's fold as the artifact, and the manifest.
+fn drive<G: Grid>(
+    grid: &G,
     dir: &Path,
     spec: &JobSpec,
-    mut state: JobState,
+    loaded: Option<checkpoint::LoadedCheckpoint>,
     threads: usize,
     control: &JobControl,
 ) -> Result<JobReport, String> {
-    let cells = spec.cells();
-    let bounds = chunk_bounds(spec.total_trials(), spec.chunks);
+    let mut state = match &loaded {
+        Some(loaded) => load_state(spec, grid, loaded)?,
+        None => JobState::fresh(),
+    };
+    let total = grid::total(grid);
+    let bounds = chunk_bounds(total, spec.chunks);
     let ckpt_dir = checkpoint_dir(dir);
+    let flush = |state: &mut JobState<G::Trial>| {
+        let payload = render_checkpoint(spec, grid, state);
+        checkpoint::write(&ckpt_dir, state.next_seq, payload.as_bytes())
+            .map_err(|e| format!("cannot write checkpoint: {e}"))?;
+        state.next_seq += 1;
+        Ok::<(), String>(())
+    };
     let mut failed: Vec<ChunkFailure> = Vec::new();
     let mut executed = 0usize;
     let mut interrupted = false;
@@ -1411,18 +801,12 @@ fn drive(
         if state.completed.contains(&chunk) {
             continue;
         }
-        if control.interrupted() {
-            interrupted = true;
-            break;
-        }
-        if control
-            .stop_after_chunks
-            .is_some_and(|limit| executed >= limit)
-        {
+        if control.interrupted() || control.stop_after_chunks.is_some_and(|cap| executed >= cap) {
             interrupted = true;
             break;
         }
 
+        let span = start..start + len;
         let attempts = 1 + spec.retries;
         let mut last_failure: Option<(&'static str, String)> = None;
         for attempt in 0..attempts {
@@ -1442,13 +826,11 @@ fn drive(
                 (spec.chunk_timeout_ms > 0).then(|| Duration::from_millis(spec.chunk_timeout_ms));
             let sweep = Sweep::with_threads(threads).seeded(spec.seed);
             let outcome = run_chunk_guarded(timeout, &control.interrupt, sweep, |sweep| {
-                run_chunk_body(spec, &cells, start, len, sweep)
+                grid.run(span.clone(), sweep)
             });
             match outcome {
-                AttemptOutcome::Success(records) => {
-                    state.records.extend(records);
-                    state.records.sort_by_key(TrialRecord::index);
-                    state.records.dedup_by_key(|r| r.index());
+                AttemptOutcome::Success(trials) => {
+                    state.insert(start, trials);
                     state.completed.insert(chunk);
                     last_failure = None;
                     break;
@@ -1468,27 +850,23 @@ fn drive(
                 attempts,
                 kind: kind.to_string(),
                 message,
-                context: chunk_context(spec, &cells, start, len),
+                context: format!(
+                    "{} trials {start}..{}: {}",
+                    spec.experiment.tag(),
+                    span.end,
+                    grid::span_labels(grid, span.clone())
+                ),
             });
         }
         executed += 1;
-
-        let payload = render_checkpoint(spec, &state);
-        checkpoint::write(&ckpt_dir, state.next_seq, payload.as_bytes())
-            .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-        state.next_seq += 1;
-
+        flush(&mut state)?;
         if interrupted {
             break;
         }
     }
-
     // Flush a final checkpoint so even a run interrupted before its first
     // chunk boundary leaves a resumable, validated state on disk.
-    let payload = render_checkpoint(spec, &state);
-    checkpoint::write(&ckpt_dir, state.next_seq, payload.as_bytes())
-        .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-    state.next_seq += 1;
+    flush(&mut state)?;
 
     let status = if interrupted || control.interrupted() {
         JobStatus::Interrupted
@@ -1498,24 +876,17 @@ fn drive(
         JobStatus::Incomplete
     };
 
-    let (table, incomplete_rows) = assemble(spec, &state.records);
+    let fold = grid.fold(&state.by_cell(grid.cells()));
     let artifact = if status == JobStatus::Interrupted {
         None
     } else {
         let path = artifact_path(dir);
-        let rendered = Table::render_json_artifact(&[&table]);
+        let rendered = Table::render_json_artifact_with_failures(&[&fold.table], &fold.failures);
         atomic_write(&path, rendered)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         Some(path)
     };
-    let manifest = render_manifest(
-        spec,
-        status,
-        &state,
-        bounds.len(),
-        &failed,
-        &incomplete_rows,
-    );
+    let manifest = render_manifest(spec, status, &state, total, bounds.len(), &failed, &fold);
     atomic_write(&manifest_path(dir), manifest)
         .map_err(|e| format!("cannot write {}: {e}", manifest_path(dir).display()))?;
 
@@ -1524,72 +895,22 @@ fn drive(
         completed_chunks: state.completed.len(),
         total_chunks: bounds.len(),
         failed,
+        failed_trials: fold.failures.len(),
         fallback_notes: state.fallback_notes,
         artifact,
     })
 }
 
-/// The exit code a job outcome maps to, shared by `llsc job` and the
-/// table binaries' `--job-dir` mode: 0 complete, 1 incomplete (partial
-/// artifact + manifest), 130 interrupted (resume to continue).
-pub fn job_exit_code(status: JobStatus) -> u8 {
-    match status {
-        JobStatus::Complete => 0,
-        JobStatus::Incomplete => 1,
+/// The exit code a job outcome maps to: 0 complete with no failures, 1
+/// complete with failures in its artifact (the table binaries' contract)
+/// or incomplete (partial artifact + manifest), 130 interrupted (resume
+/// to continue).
+pub fn job_exit_code(report: &JobReport) -> u8 {
+    match report.status {
+        JobStatus::Complete if report.failed_trials == 0 => 0,
+        JobStatus::Complete | JobStatus::Incomplete => 1,
         JobStatus::Interrupted => 130,
     }
-}
-
-/// The `--job-dir` mode of the `table_e4`/`table_e6`/`table_e13`
-/// binaries: when the process arguments contain `--job-dir DIR`, runs
-/// (or, with `--resume`, resumes) this experiment's default-grid job in
-/// `DIR` — checkpointed, retryable, interruptible — and returns the exit
-/// code. Returns `None` when the flag is absent, letting the binary
-/// proceed with its ordinary one-shot sweep.
-pub fn table_job_mode(experiment: JobExperiment) -> Option<std::process::ExitCode> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dir = None;
-    let mut threads = 1usize;
-    let mut resume = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--job-dir" => {
-                i += 1;
-                dir = args.get(i).cloned();
-            }
-            "--threads" => {
-                i += 1;
-                threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-            }
-            "--resume" => resume = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    let dir = PathBuf::from(dir?);
-    let control = JobControl::new();
-    let result = if resume {
-        resume_job(&dir, threads, &control)
-    } else {
-        run_job(&dir, &JobSpec::default_for(experiment), threads, &control)
-    };
-    Some(match result {
-        Ok(report) => {
-            eprintln!(
-                "job {}: {}/{} chunk(s) complete, {} failed",
-                report.status.tag(),
-                report.completed_chunks,
-                report.total_chunks,
-                report.failed.len()
-            );
-            std::process::ExitCode::from(job_exit_code(report.status))
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::from(2)
-        }
-    })
 }
 
 /// Renders a human-readable status report for the job in `dir` without
@@ -1614,13 +935,13 @@ pub fn job_status(dir: &Path) -> Result<String, String> {
     );
     match checkpoint::load_latest(&checkpoint_dir(dir)) {
         Some(loaded) => {
-            let (completed, records) = parse_checkpoint(&spec, &loaded.payload)?;
+            let (value, completed) = open_checkpoint(&spec, &loaded.payload)?;
             out.push_str(&format!(
                 "  checkpoint: seq {} with {}/{} chunk(s) complete, {} trial record(s)\n",
                 loaded.seq,
                 completed.len(),
                 bounds.len(),
-                records.len(),
+                trial_records(&value)?.len(),
             ));
             for s in &loaded.skipped {
                 out.push_str(&format!(
@@ -1633,8 +954,12 @@ pub fn job_status(dir: &Path) -> Result<String, String> {
     }
     if let Ok(manifest) = std::fs::read_to_string(manifest_path(dir)) {
         if let Ok(value) = json::parse(&manifest) {
-            if let Some(status) = value.field("status").and_then(json::Value::as_str) {
+            let text = |key: &str| value.field(key).and_then(json::Value::as_str);
+            if let Some(status) = text("status") {
                 out.push_str(&format!("  last invocation: {status}\n"));
+            }
+            if let Some(failed) = text("failed_trials").filter(|&n| n != "0") {
+                out.push_str(&format!("  failed trials: {failed}\n"));
             }
             if let Some(failed) = value.field("failed").and_then(json::Value::as_array) {
                 for f in failed {
@@ -1654,6 +979,9 @@ pub fn job_status(dir: &Path) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degradation::TrialResult;
+    use crate::repro::CaseCounters;
+    use llsc_core::{ExpectationSample, SubsetTrialRecord};
     use llsc_shmem::rng::trial_seed;
 
     fn scratch_dir(name: &str) -> PathBuf {
@@ -1722,11 +1050,16 @@ mod tests {
     #[test]
     fn cells_cover_the_trial_space_in_row_order() {
         let spec = tiny_e4_spec();
-        let cells = spec.cells();
+        let grid = SubsetGrid::new(&spec.ns, &spec.toss_seeds, false, 0);
+        let cells = grid.cells();
         assert_eq!(cells.len(), 6, "6 algorithms x 1 n x 1 toss seed");
         assert_eq!(spec.total_trials(), 6 * 8);
         assert_eq!(cells[0].start, 0);
         assert_eq!(cells[5].start, 40);
+        assert_eq!(
+            grid::span_labels(&grid, 7..9),
+            "alg=counter-wakeup n=3 toss_seed=0; alg=bitset-wakeup n=3 toss_seed=0"
+        );
         let e6 = JobSpec {
             ns: vec![4, 8],
             samples: 5,
@@ -1735,21 +1068,22 @@ mod tests {
         assert_eq!(e6.total_trials(), 2 * 2 * 5);
     }
 
+    /// Runs `spec` to completion as a job in a fresh directory and
+    /// returns its report and artifact.
+    fn run_to_artifact(name: &str, spec: &JobSpec) -> (JobReport, String) {
+        let dir = scratch_dir(name);
+        let report = run_job(&dir, spec, 2, &JobControl::new()).unwrap();
+        assert_eq!(report.status, JobStatus::Complete, "{:?}", report.failed);
+        let artifact = std::fs::read_to_string(artifact_path(&dir)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        (report, artifact)
+    }
+
     #[test]
     fn complete_job_artifact_matches_the_table_binary() {
-        let dir = scratch_dir("e4-identity");
-        let spec = tiny_e4_spec();
-        let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
-        assert_eq!(report.status, JobStatus::Complete);
-        assert_eq!(report.completed_chunks, 4);
-        let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
         let direct = crate::e4_indistinguishability(&[3], &[0], &Sweep::sequential());
-        assert_eq!(
-            artifact,
-            Table::render_json_artifact(&[&direct.table]),
-            "job artifact must be byte-identical to the table binary's"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        let (_, artifact) = run_to_artifact("e4-identity", &tiny_e4_spec());
+        assert_eq!(artifact, Table::render_json_artifact(&[&direct.table]));
     }
 
     #[test]
@@ -1785,19 +1119,13 @@ mod tests {
 
     #[test]
     fn e20_job_artifact_matches_the_chaos_sweep() {
-        let dir = scratch_dir("e20-identity");
         let spec = JobSpec {
             ns: vec![4],
             intensities: vec![0, 2],
             samples: 2,
             chunks: 3,
-            retries: 0,
-            backoff_ms: 0,
             ..JobSpec::default_for(JobExperiment::E20)
         };
-        let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
-        assert_eq!(report.status, JobStatus::Complete);
-        let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
         let (direct, failures) = crate::degradation_sweep(
             Degradation::ChaosRecovery,
             4,
@@ -1807,10 +1135,42 @@ mod tests {
             &Sweep::sequential(),
         );
         assert!(failures.is_empty(), "{failures:?}");
+        let (_, artifact) = run_to_artifact("e20-identity", &spec);
+        assert_eq!(artifact, Table::render_json_artifact(&[&direct.table]));
+    }
+
+    #[test]
+    fn starved_e20_trials_are_records_not_failed_chunks() {
+        // A stalled trial fails alone: the chunk completes, every trial is
+        // recorded, and the artifact is the table path's, reproducers
+        // included.
+        let spec = JobSpec {
+            ns: vec![4],
+            intensities: vec![0],
+            samples: 2,
+            chunks: 1,
+            max_events: 40,
+            ..JobSpec::default_for(JobExperiment::E20)
+        };
+        let kind = Degradation::ChaosRecovery;
+        let (direct, failures) =
+            crate::degradation_sweep(kind, 4, &[0], 2, 40, &Sweep::sequential());
+        assert!(!failures.is_empty() && failures.iter().all(|f| f.repro.is_some()));
+        let dir = scratch_dir("e20-starved");
+        let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
+        assert_eq!(report.status, JobStatus::Complete);
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        assert_eq!(report.failed_trials, failures.len());
+        assert_eq!(job_exit_code(&report), 1, "failures in the artifact exit 1");
+        let manifest = std::fs::read_to_string(manifest_path(&dir)).unwrap();
+        let counts = format!(
+            "\"trials\":\"12\",\"total_trials\":\"12\",\"failed_trials\":\"{}\"",
+            failures.len()
+        );
+        assert!(manifest.contains(&counts), "{manifest}");
         assert_eq!(
-            artifact,
-            Table::render_json_artifact(&[&direct.table]),
-            "e20 job artifact must be byte-identical to the chaos sweep's"
+            std::fs::read_to_string(artifact_path(&dir)).unwrap(),
+            Table::render_json_artifact_with_failures(&[&direct.table], &failures)
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1837,19 +1197,15 @@ mod tests {
 
     #[test]
     fn e6_job_matches_the_expectation_sweep() {
-        let dir = scratch_dir("e6-identity");
         let spec = JobSpec {
             ns: vec![4],
             samples: 6,
             chunks: 3,
             ..JobSpec::default_for(JobExperiment::E6)
         };
-        let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
-        assert_eq!(report.status, JobStatus::Complete);
-        let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
         let direct = crate::e6_randomized_expectation(&[4], 6, &Sweep::sequential());
+        let (_, artifact) = run_to_artifact("e6-identity", &spec);
         assert_eq!(artifact, Table::render_json_artifact(&[&direct.table]));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1923,7 +1279,7 @@ mod tests {
     /// A chunk body that mimics an executor-polling trial: it spins until
     /// the monitor raises the token it was given, then panics the way the
     /// executor's poll does.
-    fn polling_body(sweep: &Sweep) -> Result<Vec<TrialRecord>, String> {
+    fn polling_body(sweep: &Sweep) -> Result<(), String> {
         let token = sweep.cancel.as_ref().expect("the attempt carries a token");
         loop {
             if token.load(Ordering::SeqCst) {
@@ -1933,64 +1289,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn guarded_chunk_classifies_interrupts() {
-        let interrupt = AtomicBool::new(true);
-        let outcome = run_chunk_guarded(None, &interrupt, Sweep::sequential(), polling_body);
-        assert!(matches!(outcome, AttemptOutcome::Interrupted));
+    /// A chunk body that mimics a fallible sweep: it waits for the token,
+    /// then returns normally, the cancelled trials recorded as failures.
+    fn returning_body(sweep: &Sweep) -> Result<(), String> {
+        let token = sweep.cancel.as_ref().expect("the attempt carries a token");
+        while !token.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(())
     }
 
     #[test]
-    fn guarded_chunk_classifies_timeouts() {
-        let interrupt = AtomicBool::new(false);
-        let timeout = Some(Duration::from_millis(30));
-        let outcome = run_chunk_guarded(timeout, &interrupt, Sweep::sequential(), polling_body);
-        match outcome {
-            AttemptOutcome::Failed { kind, message } => {
-                assert_eq!(kind, "timeout");
-                assert!(
-                    message.contains("sweep cancelled after 0 recorded events"),
-                    "{message}"
-                );
-            }
-            _ => panic!("expected a timeout failure"),
+    fn guarded_chunk_classifies_interrupts() {
+        for body in [polling_body, returning_body] {
+            let interrupt = AtomicBool::new(true);
+            let outcome = run_chunk_guarded(None, &interrupt, Sweep::sequential(), body);
+            assert!(matches!(outcome, AttemptOutcome::Interrupted));
         }
     }
 
     #[test]
-    fn trial_records_round_trip_through_checkpoint_json() {
-        let spec = tiny_e4_spec();
-        let state = JobState {
-            completed: [0, 2].into_iter().collect(),
-            records: vec![
-                TrialRecord::Subset {
-                    index: 3,
-                    cell: 0,
-                    mask: 3,
-                    comparisons: 17,
-                    claims: 2,
-                    violations: vec!["S={p0}: bad \"state\"".into()],
-                },
-                TrialRecord::Sample {
-                    index: 9,
-                    cell: 1,
-                    sample: ExpectationSample {
-                        terminated: true,
-                        wakeup_ok: false,
-                        winner_steps: Some(4),
-                        max_steps: None,
-                    },
-                },
-            ],
-            next_seq: 3,
-            fallback_notes: Vec::new(),
+    fn guarded_chunk_classifies_timeouts() {
+        let timeout = Some(Duration::from_millis(30));
+        for (body, expected) in [
+            (
+                polling_body as fn(&Sweep) -> Result<(), String>,
+                "sweep cancelled after 0 recorded events",
+            ),
+            (returning_body, "its trials were cancelled"),
+        ] {
+            let interrupt = AtomicBool::new(false);
+            match run_chunk_guarded(timeout, &interrupt, Sweep::sequential(), body) {
+                AttemptOutcome::Failed { kind, message } => {
+                    assert_eq!(kind, "timeout");
+                    assert!(message.contains(expected), "{message}");
+                }
+                _ => panic!("expected a timeout failure"),
+            }
+        }
+    }
+
+    /// Records `trials` from global index `start` in a checkpoint of
+    /// `spec`, loads it back through `grid`'s codec and checks that
+    /// nothing changed; returns the payload.
+    fn assert_round_trips<G: Grid>(
+        spec: &JobSpec,
+        grid: &G,
+        start: usize,
+        trials: Vec<G::Trial>,
+    ) -> String
+    where
+        G::Trial: PartialEq + std::fmt::Debug,
+    {
+        let mut state = JobState::fresh();
+        state.completed = [0, 2].into_iter().collect();
+        state.insert(start, trials);
+        let loaded = checkpoint::LoadedCheckpoint {
+            seq: 4,
+            payload: render_checkpoint(spec, grid, &state).into_bytes(),
+            skipped: Vec::new(),
         };
-        let payload = render_checkpoint(&spec, &state);
-        let (completed, records) = parse_checkpoint(&spec, payload.as_bytes()).unwrap();
-        assert_eq!(completed, state.completed);
-        assert_eq!(records, state.records);
-        assert!(payload.contains(&format!("{:016x}", spec.fingerprint())));
-        assert!(payload.contains("trial seeds derive as split_mix"));
+        let back = load_state(spec, grid, &loaded).unwrap();
+        assert_eq!(back.completed, state.completed);
+        assert_eq!((back.indices, back.trials), (state.indices, state.trials));
+        assert_eq!(back.next_seq, 5);
+        let text = String::from_utf8(loaded.payload).unwrap();
+        assert!(text.contains(&format!("{:016x}", spec.fingerprint())));
+        assert!(text.contains("trial seeds derive as split_mix"));
+        text
+    }
+
+    #[test]
+    fn trial_records_round_trip_through_checkpoint_json() {
+        let subset = SubsetTrialRecord {
+            mask: 3,
+            comparisons: 17,
+            claim_instances: 2,
+            events: 0,
+            violations: vec!["S={p0}: bad \"state\"".into()],
+        };
+        let grid = SubsetGrid::new(&[3], &[0], false, 0);
+        assert_round_trips(&tiny_e4_spec(), &grid, 3, vec![subset]);
+
+        let spec = JobSpec::default_for(JobExperiment::E6);
+        let grid = SampleGrid::new(&spec.ns, spec.samples, 0);
+        let sample = ExpectationSample {
+            terminated: true,
+            wakeup_ok: false,
+            winner_steps: Some(4),
+            max_steps: None,
+        };
+        let text = assert_round_trips(&spec, &grid, 9, vec![sample]);
+        // `none` is the one spelling of an absent count.
+        let garbled = text.replace("\"max_steps\":\"none\"", "\"max_steps\":\"n0ne\"");
+        assert_ne!(garbled, text);
+        let loaded = checkpoint::LoadedCheckpoint {
+            seq: 4,
+            payload: garbled.into_bytes(),
+            skipped: Vec::new(),
+        };
+        let err = load_state(&spec, &grid, &loaded)
+            .err()
+            .expect("a bad count fails to load");
+        assert!(err.contains("bad `max_steps`"), "{err}");
+
+        let spec = JobSpec::default_for(JobExperiment::E20);
+        let grid = DegradationGrid::new(Degradation::ChaosRecovery, 8, &[0], 6, 40);
+        let recovered = TrialResult {
+            class: "recovered".into(),
+            safe: true,
+            counters: CaseCounters {
+                spurious_sc: 2,
+                cc_rmrs: 7,
+                ..CaseCounters::default()
+            },
+            shrunk: None,
+        };
+        let failed = llsc_shmem::TrialFailure {
+            index: 4,
+            seed: 9,
+            derived_seed: 10,
+            payload: "stalled \"hard\"".into(),
+            context: "alg=recoverable-mutex".into(),
+            attempts: 2,
+            repro: Some("{}".into()),
+        };
+        assert_round_trips(&spec, &grid, 3, vec![Ok(recovered), Err(failed)]);
         // The provenance helper the rng field documents.
         assert_ne!(trial_seed(spec.seed, 0), trial_seed(spec.seed, 1));
     }

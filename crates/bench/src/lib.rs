@@ -24,11 +24,13 @@
 //!
 //! The five degradation experiments (E15–E17, E19, E20) share one
 //! driver, [`degradation`]: each trial executes the experiment's own
-//! repro case once.
+//! repro case once. E4, E6, E13 and the degradation experiments are each
+//! a [`grid::Grid`], which the table functions run in memory and the
+//! resumable [`job`] layer runs in checkpointed chunks.
 //!
-//! Each function returns an [`harness::Experiment`] — the rendered table
-//! plus its typed rows — so integration tests can assert on the numbers
-//! without re-parsing stdout. Every binary accepts `--threads N`
+//! Each function returns the rendered table plus its typed rows (a grid's
+//! [`grid::Fold`] also carries its failures) so integration tests can
+//! assert on the numbers without re-parsing stdout. Every binary accepts `--threads N`
 //! (deterministic parallel fan-out; output byte-identical at any thread
 //! count), `--json PATH` (a structured artifact of the same tables), and
 //! the sweep-resilience flags `--seed S`, `--retries N`, and
@@ -43,6 +45,7 @@
 
 pub mod degradation;
 pub mod experiments;
+pub mod grid;
 pub mod harness;
 pub mod job;
 pub mod repro;

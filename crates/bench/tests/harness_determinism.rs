@@ -18,14 +18,26 @@ use std::process::Command;
 /// Small-instance experiment calls that together cover every sweep shape
 /// the harness uses: per-config fan-out (E1), per-(alg, n) fan-out (E5),
 /// per-seed fan-out (E6), nested subset fan-out (E4, E13), and
-/// per-schedule fan-out (E14).
+/// per-schedule fan-out (E14). The paper's checks that E4, E6 and E13
+/// fold into failures (Lemma 5.2, Theorem 6.1, claims A.2–A.9) must all
+/// hold.
 fn fast_experiments(sweep: &Sweep) -> Vec<Table> {
+    let e4 = llsc_bench::e4_indistinguishability(&[4, 5], &[1, 2], sweep);
+    let e6 = llsc_bench::e6_randomized_expectation(&[4, 8], 8, sweep);
+    let e13 = llsc_bench::e13_appendix_claims(&[4, 5], sweep);
+    for (id, failures) in [
+        ("E4", &e4.failures),
+        ("E6", &e6.failures),
+        ("E13", &e13.failures),
+    ] {
+        assert!(failures.is_empty(), "{id} reports failures: {failures:?}");
+    }
     vec![
         llsc_bench::e1_secretive_schedules(&[4, 16], 4, sweep).table,
-        llsc_bench::e4_indistinguishability(&[4, 5], &[1, 2], sweep).table,
+        e4.table,
         llsc_bench::e5_wakeup_lower_bound(&[4, 16], sweep).table,
-        llsc_bench::e6_randomized_expectation(&[4, 8], 8, sweep).table,
-        llsc_bench::e13_appendix_claims(&[4, 5], sweep).table,
+        e6.table,
+        e13.table,
         llsc_bench::e14_stress_portfolio(5, sweep).table,
     ]
 }

@@ -262,3 +262,127 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
     assert_eq!(report.status, JobStatus::Complete);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The default specs' fingerprints: a change to spec rendering would
+/// orphan every checkpoint already on disk.
+#[test]
+fn default_spec_fingerprints_are_pinned() {
+    for (experiment, fnv) in [
+        (JobExperiment::E4, 0x0159_0c5b_5820_b080),
+        (JobExperiment::E6, 0x7d99_bc50_15a2_474d),
+        (JobExperiment::E13, 0xf659_a89a_169e_0a37),
+        (JobExperiment::E20, 0x62e9_30f7_e198_f526),
+    ] {
+        assert_eq!(
+            JobSpec::default_for(experiment).fingerprint(),
+            fnv,
+            "{}",
+            experiment.tag()
+        );
+    }
+}
+
+/// Checkpoint payloads written by an earlier release of the job layer —
+/// E4 after 2 of 4 chunks, E6 and E20 after 1 of 3, with `chaos` records
+/// that predate the `failure` kind and the fields added since — still
+/// load, and resuming from them reproduces a fresh run's artifact.
+#[test]
+fn checkpoints_from_an_earlier_release_resume_to_a_fresh_run() {
+    let small = |experiment| JobSpec {
+        chunks: 3,
+        retries: 0,
+        backoff_ms: 0,
+        ..JobSpec::default_for(experiment)
+    };
+    for (spec, payload, completed) in [
+        (
+            JobSpec {
+                ns: vec![3],
+                toss_seeds: vec![0, 1],
+                chunks: 4,
+                ..small(JobExperiment::E4)
+            },
+            include_str!("fixtures/ckpt-e4.json"),
+            2,
+        ),
+        (
+            JobSpec {
+                ns: vec![4],
+                samples: 6,
+                ..small(JobExperiment::E6)
+            },
+            include_str!("fixtures/ckpt-e6.json"),
+            1,
+        ),
+        (
+            JobSpec {
+                ns: vec![4],
+                intensities: vec![0, 2],
+                samples: 2,
+                ..small(JobExperiment::E20)
+            },
+            include_str!("fixtures/ckpt-e20.json"),
+            1,
+        ),
+    ] {
+        let tag = spec.experiment.tag();
+        let dir = scratch(&format!("compat-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        llsc_shmem::atomic_write(&llsc_bench::job::spec_path(&dir), spec.render()).unwrap();
+        checkpoint::write(&dir.join("checkpoints"), 1, payload.as_bytes()).unwrap();
+        let status = llsc_bench::job::job_status(&dir).unwrap();
+        assert!(
+            status.contains(&format!("{completed}/{} chunk(s) complete", spec.chunks)),
+            "{tag}: {status}"
+        );
+        let report = resume_job(&dir, 2, &JobControl::new()).unwrap();
+        assert_eq!(report.status, JobStatus::Complete, "{tag}");
+        assert_eq!(report.completed_chunks, spec.chunks, "{tag}");
+        assert!(report.fallback_notes.is_empty(), "{tag}");
+        let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
+        assert_eq!(
+            resumed,
+            uninterrupted_artifact(&spec, 1, &format!("compat-{tag}")),
+            "{tag}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// E20 at the `table_e20` grid under `--max-events 40`: every stalled
+/// trial is a checkpointed failure record, so the job completes — also
+/// when stopped after 2 of 5 chunks and resumed — and its artifact is the
+/// starved table artifact, reproducers included.
+#[test]
+fn starved_e20_job_matches_the_starved_table_fixture() {
+    let spec = JobSpec {
+        ns: vec![8],
+        intensities: vec![0, 1, 2, 4],
+        samples: 6,
+        chunks: 5,
+        max_events: 40,
+        ..JobSpec::default_for(JobExperiment::E20)
+    };
+    let fixture = include_str!("fixtures/e20-starved.json");
+    let clean = scratch("e20-starved-clean");
+    let report = run_job(&clean, &spec, 2, &JobControl::new()).unwrap();
+    assert_eq!(report.status, JobStatus::Complete);
+    assert!(report.failed_trials > 0);
+    assert_eq!(llsc_bench::job::job_exit_code(&report), 1);
+    assert_eq!(
+        std::fs::read_to_string(artifact_path(&clean)).unwrap(),
+        fixture
+    );
+
+    let dir = scratch("e20-starved-resumed");
+    let first = run_job(&dir, &spec, 1, &stop_after(2)).unwrap();
+    assert_eq!(first.status, JobStatus::Interrupted);
+    let second = resume_job(&dir, 3, &JobControl::new()).unwrap();
+    assert_eq!(second.status, JobStatus::Complete);
+    assert_eq!(
+        std::fs::read_to_string(artifact_path(&dir)).unwrap(),
+        fixture
+    );
+    std::fs::remove_dir_all(&clean).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

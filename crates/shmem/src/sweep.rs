@@ -321,45 +321,44 @@ impl Sweep {
         self.run_range(0..items.len(), || (), |(), t| f(t, &items[t.index]))
     }
 
-    /// Runs `f` once per item, isolating panics: the result vector is in
-    /// item order, with each panicking trial recorded as a
-    /// [`TrialFailure`] while every other trial still completes and
-    /// returns `Ok`. `context(trial, item)` is evaluated for each
+    /// Runs `f` once per trial index in `range`, isolating panics: the
+    /// result vector is in index order, with each panicking trial
+    /// recorded as a [`TrialFailure`] while every other trial still
+    /// completes and returns `Ok`. `context(trial)` is evaluated for each
     /// *failing* trial and recorded in its [`TrialFailure::context`]
     /// (experiments put their fault/crash plan summaries there, making any
     /// failure row in a JSON artifact reproducible on its own).
+    ///
+    /// Trial identity comes from the global index, as in
+    /// [`Sweep::run_range`], so a range run in pieces — the chunks of a
+    /// resumable job — yields the trials (and failures) of one sweep over
+    /// the whole range.
     ///
     /// Each attempt runs under [`std::panic::catch_unwind`], and results
     /// are merged through per-slot locks with poison recovery, so neither
     /// the unwind nor the merge can cascade one bad seed into the loss of
     /// the whole sweep. As with [`Sweep::run`], `f` must be a pure
-    /// function of `(trial, item)`; that purity is also what makes it
+    /// function of its trial; that purity is also what makes it
     /// unwind-safe to retry or record.
     ///
     /// A panicking trial is re-run [`Sweep::retries`] times under
     /// deterministic derived seeds before it is reported, and each attempt
     /// runs under the sweep's [`Sweep::trial_timeout`] and
     /// [`Sweep::cancel`] token, if set.
-    pub fn run_fallible<I, T, F, C>(
+    pub fn run_fallible<T, F, C>(
         &self,
-        items: &[I],
+        range: Range<usize>,
         f: F,
         context: C,
     ) -> Vec<Result<T, TrialFailure>>
     where
-        I: Sync,
         T: Send,
-        F: Fn(Trial, &I) -> T + Sync,
-        C: Fn(Trial, &I) -> String + Sync,
+        F: Fn(Trial) -> T + Sync,
+        C: Fn(Trial) -> String + Sync,
     {
-        self.run_core(
-            0..items.len(),
-            || (),
-            |(), t| f(t, &items[t.index]),
-            |t| context(t, &items[t.index]),
-        )
-        .map(|r| r.map_err(|failure| *failure))
-        .collect()
+        self.run_core(range, || (), |(), t| f(t), context)
+            .map(|r| r.map_err(|failure| *failure))
+            .collect()
     }
 
     /// Runs `f` once per trial index in `range`, each worker reusing one
@@ -571,8 +570,7 @@ mod tests {
             let sweep = Sweep::with_threads(threads);
             let out = sweep.run_range(0..9, || (), |(), t| t.index * 2);
             assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
-            let indices: Vec<usize> = (0..5).collect();
-            let fallible = sweep.run_fallible(&indices, |t, _| t.index * 2, |_, _| String::new());
+            let fallible = sweep.run_fallible(0..5, |t| t.index * 2, |_| String::new());
             assert_eq!(
                 fallible.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
                 vec![0, 2, 4, 6, 8]
@@ -591,17 +589,16 @@ mod tests {
     fn panicking_trial_leaves_other_results_intact() {
         // Trial 3 panics; the other 16 trials' results all survive, and
         // the failure row carries the trial's identity and payload.
-        let items: Vec<usize> = (0..17).collect();
         for threads in [1, 4] {
             let out = Sweep::with_threads(threads).run_fallible(
-                &items,
-                |t, &x| {
-                    if x == 3 {
+                0..17,
+                |t| {
+                    if t.index == 3 {
                         panic!("deliberate failure in trial {}", t.index);
                     }
-                    x * 10
+                    t.index * 10
                 },
-                |_, _| String::new(),
+                |_| String::new(),
             );
             assert_eq!(out.len(), 17);
             for (i, r) in out.iter().enumerate() {
@@ -620,18 +617,17 @@ mod tests {
 
     #[test]
     fn run_fallible_is_thread_invariant() {
-        let items: Vec<u64> = (0..40).collect();
-        let f = |t: Trial, x: &u64| {
-            if x.is_multiple_of(7) {
+        let f = |t: Trial| {
+            if t.index.is_multiple_of(7) {
                 panic!("bad seed {:#x}", t.seed);
             }
-            t.seed ^ x
+            t.seed ^ t.index as u64
         };
-        let ctx = |t: Trial, x: &u64| format!("x={x} index={}", t.index);
-        let base = Sweep::sequential().run_fallible(&items, f, ctx);
+        let ctx = |t: Trial| format!("index={}", t.index);
+        let base = Sweep::sequential().run_fallible(0..40, f, ctx);
         for threads in [2, 8] {
             assert_eq!(
-                Sweep::with_threads(threads).run_fallible(&items, f, ctx),
+                Sweep::with_threads(threads).run_fallible(0..40, f, ctx),
                 base
             );
         }
@@ -718,22 +714,21 @@ mod tests {
         // retry on the dirty scratch would return a different value; the
         // rebuilt one reproduces the scratch-free sweep exactly.
         let poisoned = crate::rng::trial_seed(0, 3);
-        let items: Vec<usize> = (0..8).collect();
         for threads in [1, 2] {
             let sweep = Sweep::with_threads(threads).with_retries(1);
             let plain: Vec<u64> = sweep
                 .run_fallible(
-                    &items,
-                    |t, _| {
+                    0..8,
+                    |t| {
                         assert!(t.seed != poisoned, "poisoned attempt");
                         t.seed
                     },
-                    |_, _| String::new(),
+                    |_| String::new(),
                 )
                 .into_iter()
                 .map(Result::unwrap)
                 .collect();
-            let scratched = sweep.run_range(0..items.len(), Vec::<u64>::new, |dirty, t| {
+            let scratched = sweep.run_range(0..8, Vec::<u64>::new, |dirty, t| {
                 let out = t.seed + dirty.len() as u64;
                 if t.seed == poisoned {
                     dirty.push(1);
@@ -750,24 +745,23 @@ mod tests {
         // The trial panics on its base seed but succeeds on any retry
         // seed: with retries it recovers, without it fails — and the
         // failure records the attempt count and the base seed.
-        let items = vec![0usize];
         let base = crate::rng::trial_seed(0, 0);
-        let f = |t: Trial, _: &usize| {
+        let f = |t: Trial| {
             if t.seed == base {
                 panic!("transient failure on the base seed");
             }
             t.seed
         };
-        let no_context = |_: Trial, _: &usize| String::new();
+        let no_context = |_: Trial| String::new();
         let with = Sweep::sequential()
             .with_retries(2)
-            .run_fallible(&items, f, no_context);
+            .run_fallible(0..1, f, no_context);
         assert_eq!(
             with[0],
             Ok(crate::rng::retry_seed(base, 1)),
             "first retry succeeded deterministically"
         );
-        let without = Sweep::sequential().run_fallible(&items, f, no_context);
+        let without = Sweep::sequential().run_fallible(0..1, f, no_context);
         let failure = without[0].as_ref().unwrap_err();
         assert_eq!(failure.attempts, 1);
         assert_eq!(failure.seed, base, "failure reports the base seed");
@@ -785,9 +779,9 @@ mod tests {
     #[test]
     fn exhausted_retries_report_the_last_payload_and_attempt_count() {
         let out = Sweep::sequential().with_retries(3).run_fallible(
-            &[0usize],
-            |t: Trial, _| -> usize { panic!("always bad (seed {:#x})", t.seed) },
-            |_, _| String::new(),
+            0..1,
+            |t: Trial| -> usize { panic!("always bad (seed {:#x})", t.seed) },
+            |_| String::new(),
         );
         let f = out[0].as_ref().unwrap_err();
         assert_eq!(f.attempts, 4, "1 original + 3 retries");
@@ -810,37 +804,35 @@ mod tests {
 
     #[test]
     fn context_callback_is_recorded_on_failures() {
-        let items: Vec<usize> = (0..4).collect();
         let out = Sweep::sequential().run_fallible(
-            &items,
-            |_, &x| {
-                if x == 2 {
+            0..4,
+            |t| {
+                if t.index == 2 {
                     panic!("boom");
                 }
-                x
+                t.index
             },
-            |t, &x| format!("item={x} index={}", t.index),
+            |t| format!("index={}", t.index),
         );
         let f = out[2].as_ref().unwrap_err();
-        assert_eq!(f.context, "item=2 index=2");
-        assert!(f.to_string().contains("[item=2 index=2]"), "{f}");
+        assert_eq!(f.context, "index=2");
+        assert!(f.to_string().contains("[index=2]"), "{f}");
         assert!(out[1].is_ok(), "context evaluation is failure-only");
     }
 
     #[test]
     fn trial_timeout_converts_a_hung_trial_into_a_failure() {
-        let items: Vec<u64> = (0..3).collect();
         let out = Sweep::sequential()
             .with_trial_timeout(Duration::from_millis(10))
             .run_fallible(
-                &items,
-                |_, &x| {
-                    if x == 1 {
+                0..3,
+                |t| {
+                    if t.index == 1 {
                         hang();
                     }
-                    x
+                    t.index
                 },
-                |_, _| String::new(),
+                |_| String::new(),
             );
         assert_eq!(out[0], Ok(0));
         assert_eq!(out[2], Ok(2), "later trials run after the timeout");
@@ -907,13 +899,13 @@ mod tests {
         let items: Vec<u64> = (0..6).collect();
         let (lost, kept) = std::thread::scope(|scope| {
             let lost = scope.spawn(|| {
-                let f = |t: Trial, _: &u64| -> u64 {
+                let f = |t: Trial| -> u64 {
                     if t.index == 0 {
                         both_in_flight.wait();
                     }
                     hang()
                 };
-                cancelled.run_fallible(&items, f, |_, _| String::new())
+                cancelled.run_fallible(0..items.len(), f, |_| String::new())
             });
             let kept = scope.spawn(|| {
                 Sweep::with_threads(2).run(&items, |t, &x| {
@@ -955,11 +947,7 @@ mod tests {
         let _ = Sweep::sequential()
             .with_trial_timeout(Duration::from_millis(1))
             .with_cancel(token.clone())
-            .run_fallible(
-                &[0usize],
-                |_, _| -> usize { panic!("bad") },
-                |_, _| String::new(),
-            );
+            .run_fallible(0..1, |_| -> usize { panic!("bad") }, |_| String::new());
         token.store(true, Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(2));
         check_trial_deadline(0); // must not panic: nothing armed here

@@ -149,7 +149,8 @@ subcommands:
                                                   any thread count
   job status --dir <d>                            report progress without
                                                   executing anything
-             (job exit codes: 0 complete, 1 incomplete with a partial
+             (job exit codes: 0 complete, 1 complete with failed
+              trials in the artifact or incomplete with a partial
               artifact and populated manifest, 130 interrupted, 2 error)
   list                                            algorithm / experiment /
                                                   backend registry
@@ -955,12 +956,12 @@ fn cmd_job(args: &[String]) -> ExitCode {
                 }
                 let report = run_job(&dir, &spec, opts.threads()?, &control)?;
                 report_summary(&report);
-                Ok(job_exit_code(report.status))
+                Ok(job_exit_code(&report))
             }
             "resume" => {
                 let report = resume_job(&dir, opts.threads()?, &control_with_signals())?;
                 report_summary(&report);
-                Ok(job_exit_code(report.status))
+                Ok(job_exit_code(&report))
             }
             "status" => {
                 print!("{}", job_status(&dir)?);
@@ -983,11 +984,12 @@ fn cmd_job(args: &[String]) -> ExitCode {
             );
         }
         eprintln!(
-            "job {}: {}/{} chunk(s) complete, {} failed",
+            "job {}: {}/{} chunk(s) complete, {} failed, {} failed trial(s) in the artifact",
             report.status.tag(),
             report.completed_chunks,
             report.total_chunks,
-            report.failed.len()
+            report.failed.len(),
+            report.failed_trials
         );
         if let Some(path) = &report.artifact {
             eprintln!("wrote {}", path.display());
